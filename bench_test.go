@@ -1,8 +1,8 @@
 // Package bench holds one testing.B benchmark per table and figure of the
 // paper's evaluation section (plus the ablation studies). Each benchmark
-// regenerates its experiment end to end at a reduced scale; the full-scale
-// reports (and the paper-vs-measured comparison) live in EXPERIMENTS.md and
-// are produced by cmd/terids-bench.
+// regenerates its experiment end to end at a reduced scale; cmd/terids-bench
+// produces the full-scale reports (`terids-bench -list` names every
+// experiment).
 package bench
 
 import (
@@ -483,47 +483,6 @@ func BenchmarkDeepReplay(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N*len(f.stream))/b.Elapsed().Seconds(), "tuples/s")
-}
-
-// BenchmarkRebalance measures the online rebalance end to end — barrier
-// drain, checkpoint capture, state teardown, weighted restore at the new
-// layout, pipeline resume — on a loaded engine, alternating K=4 ↔ K=8. This
-// is the pause an adaptive rebalance inflicts on a live stream; reports the
-// resident count moved per rebalance alongside the latency.
-func BenchmarkRebalance(b *testing.B) {
-	f := loadEngineFixture(b)
-	eng, err := engine.New(f.sh, engine.Config{Core: f.cfg, Shards: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	for _, r := range f.stream {
-		if err := eng.Submit(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Drain before timing, so the first rebalance's barrier does not charge
-	// the whole submitted stream to the measurement.
-	if _, err := eng.Checkpoint(); err != nil {
-		b.Fatal(err)
-	}
-	residents := 0
-	for _, ss := range eng.Stats().PerShard {
-		residents += int(ss.Residents)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := 8
-		if i%2 == 1 {
-			k = 4
-		}
-		if err := eng.Rebalance(eng.BalancedLayout(k)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(residents), "residents")
 }
 
 // BenchmarkEngineShards measures sharded engine throughput at K ∈

@@ -111,6 +111,20 @@ func TestCrashFlightRecorder(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("child ingest: status %d (%s)", resp.StatusCode, body)
 	}
+	// Traces are retained at merger finalize, after ingest has returned.
+	waitFor(t, "the child to finalize 40 arrivals", func() bool {
+		resp, err := http.Get(base + "/stats")
+		if err != nil {
+			return false
+		}
+		defer resp.Body.Close()
+		var st struct {
+			Engine struct {
+				Completed int64 `json:"completed"`
+			} `json:"engine"`
+		}
+		return json.NewDecoder(resp.Body).Decode(&st) == nil && st.Engine.Completed >= 40
+	})
 
 	// The crash. SIGQUIT must dump a bundle and exit 2.
 	if err := cmd.Process.Signal(syscall.SIGQUIT); err != nil {

@@ -25,11 +25,8 @@
 //	                writes it server-side under -checkpoint-dir (disabled
 //	                unless that flag is set), otherwise the binary
 //	                checkpoint is the response body.
-//	POST /rebalance admin trigger for an online shard rebalance (barrier →
-//	                weighted layout → resume); ?shards=K changes the shard
-//	                count, ?weighted=0 uses the uniform modulo layout.
 //	GET  /stats     engine + server counters as JSON, including per-shard
-//	                residents, the imbalance ratio, and rebalance counters.
+//	                residents.
 //	GET  /metrics   Prometheus text exposition: per-stage latency histograms
 //	                (impute, route, shard ER, merge, WAL, checkpoint, deep
 //	                replay) with p50/p95/p99 quantile gauges, plus counters.
@@ -38,10 +35,11 @@
 //	GET  /healthz   liveness (503 once the pipeline has failed or shutdown
 //	                has begun; 200 while still starting or recovering).
 //	GET  /readyz    readiness (503 with a reason body — "starting",
-//	                "recovering", "rebalancing" — until recovery replay
-//	                finishes and the engine is serving traffic).
-//	GET  /events    the lifecycle event journal as NDJSON — rebalances,
-//	                checkpoints, WAL rotation/truncation, deep replays,
+//	                "recovering", "catching up", "applying checkpoint" —
+//	                until recovery replay finishes and the engine is
+//	                serving traffic).
+//	GET  /events    the lifecycle event journal as NDJSON — checkpoints,
+//	                checkpoint applies, WAL rotation/truncation, deep replays,
 //	                throttle episodes, SLO transitions, recovery — oldest
 //	                first; ?from=seq resumes from a cursor.
 //	GET  /slo       per-objective service-level status as JSON: current
@@ -51,7 +49,7 @@
 //	                (requires -flight-dir).
 //	POST /promote   turn a follower replica (-follow) into the writer: seal
 //	                at the WAL frontier, replay the un-tailed remainder,
-//	                attach the log, reopen /ingest and /rebalance. 409 while
+//	                attach the log, reopen /ingest. 409 while
 //	                the old writer still holds the liveness lock.
 //
 // The HTTP listener starts before the engine: during a long recovery replay
@@ -92,21 +90,17 @@
 // lines get 429 with Retry-After). -restore <file> boots the engine from an
 // explicit checkpoint instead (mutually exclusive with -wal-dir);
 // -checkpoint-on-exit <file> makes SIGINT/SIGTERM drain the pipeline and
-// write a final checkpoint before exiting. -rebalance-threshold plus
-// -rebalance-interval enable the adaptive skew monitor: when topic skew
-// keeps the most loaded shard over threshold × the per-shard mean, the
-// engine rebalances online (checkpoints carry the layout, so -wal-dir
-// recovery resumes balanced).
+// write a final checkpoint before exiting.
 //
 // Read-path scale-out: -follow <dir> boots the process as a read-only
 // follower replica over another terids-serve's -wal-dir. It restores the
 // newest checkpoint there, then continuously tails the writer's WAL, so its
 // /results (including deep replays), /stats, /metrics, /slo, and /events
 // are byte-identical to the writer's, one poll interval behind
-// (terids_follower_lag gauges the gap). /ingest and /rebalance answer 503
-// on a follower. When the writer's checkpointer truncates the WAL below the
-// follower's cursor, the follower applies the delta-checkpoint chain onto
-// its live engine instead of rebuilding. POST /promote (or
+// (terids_follower_lag gauges the gap). /ingest answers 503 on a follower.
+// When the writer's checkpointer truncates the WAL below the follower's
+// cursor, the follower applies the delta-checkpoint chain onto its live
+// engine instead of rebuilding. POST /promote (or
 // -promote-on-writer-loss after the writer's flock has been free that long)
 // performs warm-standby takeover: seal at the WAL frontier, replay the
 // remainder, attach the log, resume ingest as the writer.
@@ -180,8 +174,6 @@ func main() {
 		ckptDelta   = flag.Int("checkpoint-delta", 0, "delta checkpoints written between full snapshots under -wal-dir (0 = always full)")
 		rateLimit   = flag.Float64("rate-limit", 0, "per-stream ingest rate limit in tuples/sec (0 = unlimited; over-limit gets 429 + Retry-After)")
 		rateBurst   = flag.Int("rate-burst", 0, "per-stream token-bucket burst (0 = one second's worth of -rate-limit)")
-		rebThresh   = flag.Float64("rebalance-threshold", 0, "imbalance ratio (max shard residents / mean) arming an automatic online rebalance (0 = disabled; requires -rebalance-interval)")
-		rebEvery    = flag.Duration("rebalance-interval", 0, "skew monitor sampling period (required with -rebalance-threshold)")
 		debugAddr   = flag.String("debug-addr", "", "separate listener for net/http/pprof, expvar, and /metrics (empty = disabled)")
 		traceEvery  = flag.Int("trace-sample", 0, "record every Nth arrival's full stage timeline for GET /trace (0 = disabled)")
 		ingestBatch = flag.Int("ingest-batch", 64, "NDJSON arrivals /ingest groups into one engine submission (1 = submit per line)")
@@ -205,11 +197,6 @@ func main() {
 		WALDir: *walDir, Follow: *follow, Restore: *restore,
 		CheckpointInterval: *ckptEvery, CheckpointKeep: *ckptKeep,
 		CheckpointDelta: *ckptDelta,
-	}).Validate(); err != nil {
-		log.Fatal(err)
-	}
-	if err := (cliutil.Rebalance{
-		Threshold: *rebThresh, Interval: *rebEvery, Follower: *follow != "",
 	}).Validate(); err != nil {
 		log.Fatal(err)
 	}
@@ -368,7 +355,7 @@ func main() {
 
 	var debugSrv *http.Server
 	if *debugAddr != "" {
-		debugSrv = &http.Server{Addr: *debugAddr, Handler: debugMux(srv)}
+		debugSrv = cliutil.NewHTTPServer(*debugAddr, debugMux(srv))
 		go func() {
 			log.Printf("debug listener on %s (pprof, expvar, metrics)", *debugAddr)
 			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -384,7 +371,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: srv.routes()}
+	httpSrv := cliutil.NewHTTPServer("", srv.routes())
 	go func() {
 		log.Printf("listening on %s (engine starting)", ln.Addr())
 		if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -401,9 +388,6 @@ func main() {
 		QueueDepth:  *queue,
 		OnResult:    srv.onResult,
 		TraceSample: *traceEvery,
-		Rebalance: engine.RebalanceConfig{
-			Threshold: *rebThresh, Interval: *rebEvery, Logf: log.Printf,
-		},
 	}
 	var eng *engine.Engine
 	var dur *engine.Durable
@@ -461,10 +445,9 @@ func main() {
 	obs.Default().Gauge("terids_build_info",
 		"Build and topology identity; the value is always 1.",
 		obs.Labels{
-			"version":      version,
-			"go_version":   runtime.Version(),
-			"shards":       strconv.Itoa(eng.Stats().Shards),
-			"layout_slots": strconv.Itoa(engine.LayoutSlots),
+			"version":    version,
+			"go_version": runtime.Version(),
+			"shards":     strconv.Itoa(eng.Stats().Shards),
 		}).Set(1)
 
 	if fol == nil {

@@ -16,6 +16,7 @@ import (
 
 	"terids/internal/engine"
 	"terids/internal/obs"
+	"terids/internal/tuple"
 )
 
 // startObsServer is startServer with trace sampling enabled and a shutdown
@@ -67,8 +68,9 @@ var promSample = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [^ ]+
 // read-time quantiles per latency family.
 func TestServeMetricsEndpoint(t *testing.T) {
 	f := loadServeFixture(t)
-	_, ts, _ := startObsServer(t, f, 2, 4)
+	srv, ts, _ := startObsServer(t, f, 2, 4)
 	ingest(t, ts, f.stream[:80])
+	waitCompleted(t, srv.eng, 80)
 
 	resp, body := get(t, ts.URL+"/metrics")
 	if resp.StatusCode != http.StatusOK {
@@ -114,8 +116,10 @@ func TestServeMetricsEndpoint(t *testing.T) {
 // retained and served as one NDJSON object per line.
 func TestServeTraceEndpoint(t *testing.T) {
 	f := loadServeFixture(t)
-	_, ts, _ := startObsServer(t, f, 2, 1)
+	srv, ts, _ := startObsServer(t, f, 2, 1)
 	ingest(t, ts, f.stream[:40])
+	// Traces are retained at merger finalize, after ingest has returned.
+	waitCompleted(t, srv.eng, 40)
 
 	resp, body := get(t, ts.URL+"/trace")
 	if resp.StatusCode != http.StatusOK {
@@ -192,8 +196,9 @@ func TestServeHealthReadiness(t *testing.T) {
 // regardless of deployment mode.
 func TestServeStatsSchemaStable(t *testing.T) {
 	f := loadServeFixture(t)
-	_, ts, _ := startObsServer(t, f, 1, 0)
+	srv, ts, _ := startObsServer(t, f, 1, 0)
 	ingest(t, ts, f.stream[:10])
+	waitCompleted(t, srv.eng, 10)
 
 	stats := getStats(t, ts)
 	up, ok := stats["uptime_seconds"].(float64)
@@ -229,21 +234,30 @@ func decodeEvents(t *testing.T, body string) []obs.Event {
 	return out
 }
 
-// TestServeEventsEndpoint: lifecycle events (here: an admin rebalance) land
+// TestServeEventsEndpoint: lifecycle events (here: a throttle episode) land
 // in the journal and stream back from /events as NDJSON, with ?from= cursors
 // and malformed-cursor rejection.
 func TestServeEventsEndpoint(t *testing.T) {
 	f := loadServeFixture(t)
-	_, ts := startServer(t, f, 2, 256, nil)
+	srv, ts := startServer(t, f, 2, 256, nil)
 	ingest(t, ts, f.stream[:60])
 
-	resp, err := http.Post(ts.URL+"/rebalance?shards=4", "", nil)
+	// Two lines of one stream against a burst of one: the second is
+	// throttled, which opens an episode in the journal.
+	srv.limiter = newRateLimiter(1, 1)
+	var same []*tuple.Record
+	for _, r := range f.stream[60:] {
+		if r.Stream == 0 && len(same) < 2 {
+			same = append(same, r)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/ingest", "application/x-ndjson", strings.NewReader(ndjson(t, same)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /rebalance: status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("over-limit ingest: status %d, want 429", resp.StatusCode)
 	}
 
 	eresp, body := get(t, ts.URL+"/events")
@@ -255,26 +269,19 @@ func TestServeEventsEndpoint(t *testing.T) {
 	}
 	events := decodeEvents(t, body)
 	if len(events) == 0 {
-		t.Fatal("/events returned no events after a rebalance")
+		t.Fatal("/events returned no events after a throttle episode")
 	}
-	var start, done *obs.Event
+	var throttle *obs.Event
 	for i := range events {
-		ev := &events[i]
-		if ev.Type == "rebalance_start" && start == nil {
-			start = ev
-		}
-		if ev.Type == "rebalance_done" {
-			done = ev
+		if events[i].Type == "throttle" {
+			throttle = &events[i]
 		}
 	}
-	if start == nil || done == nil {
-		t.Fatalf("events missing rebalance_start/rebalance_done:\n%s", body)
+	if throttle == nil {
+		t.Fatalf("events missing throttle:\n%s", body)
 	}
-	if trig, _ := start.Fields["trigger"].(string); trig != "manual" {
-		t.Fatalf("rebalance_start trigger %v, want manual", start.Fields["trigger"])
-	}
-	if done.Fields["k_to"].(float64) != 4 {
-		t.Fatalf("rebalance_done k_to %v, want 4", done.Fields["k_to"])
+	if stream, _ := throttle.Fields["stream"].(float64); stream != 0 {
+		t.Fatalf("throttle event stream %v, want 0", throttle.Fields["stream"])
 	}
 
 	// Cursor: resuming from the last event's seq returns exactly that suffix.
@@ -297,6 +304,7 @@ func TestServeSLOEndpointBreach(t *testing.T) {
 	f := loadServeFixture(t)
 	srv, ts, _ := startObsServer(t, f, 2, 0)
 	ingest(t, ts, f.stream[:60])
+	waitCompleted(t, srv.eng, 60)
 
 	obj, err := obs.ParseSLO("serve-ingest-lat:terids_impute_seconds:p99<1ns")
 	if err != nil {
@@ -364,6 +372,7 @@ func TestServeDebugDump(t *testing.T) {
 	f := loadServeFixture(t)
 	srv, ts, _ := startObsServer(t, f, 2, 2)
 	ingest(t, ts, f.stream[:40])
+	waitCompleted(t, srv.eng, 40)
 	dir := t.TempDir()
 	srv.flight = &obs.Flight{
 		Dir: dir, Version: "test",
@@ -425,76 +434,4 @@ func TestServeDebugDump(t *testing.T) {
 	if nresp.StatusCode != http.StatusNotFound {
 		t.Fatalf("dump without -flight-dir: status %d, want 404", nresp.StatusCode)
 	}
-}
-
-// TestServeTraceDuringRebalance hammers GET /trace while admin rebalances
-// and ingest run concurrently: every served trace must be complete — all
-// stage fields present, strictly positive total — under the race detector.
-func TestServeTraceDuringRebalance(t *testing.T) {
-	f := loadServeFixture(t)
-	_, ts, _ := startObsServer(t, f, 2, 1)
-	ingest(t, ts, f.stream[:40])
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				resp, err := http.Get(ts.URL + "/trace")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				sc := bufio.NewScanner(resp.Body)
-				sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-				for sc.Scan() {
-					var tr map[string]any
-					if err := json.Unmarshal(sc.Bytes(), &tr); err != nil {
-						t.Errorf("trace line not JSON during rebalance: %v", err)
-						break
-					}
-					for _, key := range []string{"impute_queue_wait_ns", "impute_ns", "route_ns", "merge_hold_ns", "total_ns"} {
-						v, ok := tr[key].(float64)
-						if !ok {
-							t.Errorf("trace missing %q during rebalance: %v", key, tr)
-							break
-						}
-						if v < 0 {
-							t.Errorf("trace %s negative (%v) during rebalance", key, v)
-							break
-						}
-					}
-					if tot, _ := tr["total_ns"].(float64); tot <= 0 {
-						t.Errorf("trace total_ns %v during rebalance, want > 0", tr["total_ns"])
-					}
-				}
-				resp.Body.Close()
-			}
-		}()
-	}
-	// Rebalance back and forth while traces stream, with ingest in between.
-	next := 40
-	for i, k := range []int{4, 2, 4, 2} {
-		resp, err := http.Post(fmt.Sprintf("%s/rebalance?shards=%d", ts.URL, k), "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("rebalance %d: status %d", i, resp.StatusCode)
-		}
-		if next+20 <= len(f.stream) {
-			ingest(t, ts, f.stream[next:next+20])
-			next += 20
-		}
-	}
-	close(stop)
-	wg.Wait()
 }

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"terids/internal/cliutil"
 	"terids/internal/engine"
 	"terids/internal/obs"
 	"terids/internal/snapshot"
@@ -175,7 +174,6 @@ func (s *server) routes() *http.ServeMux {
 	mux.HandleFunc("GET /results", s.requireEngine(s.handleResults))
 	mux.HandleFunc("GET /stats", s.requireEngine(s.handleStats))
 	mux.HandleFunc("POST /snapshot", s.requireEngine(s.handleSnapshot))
-	mux.HandleFunc("POST /rebalance", s.requireEngine(s.handleRebalance))
 	mux.HandleFunc("GET /trace", s.requireEngine(s.handleTrace))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -203,8 +201,8 @@ func (s *server) refuseOnFollower(rw http.ResponseWriter) bool {
 
 // handlePromote turns a follower replica into the writer: seal at the WAL
 // frontier (refused while the old writer's liveness lock is held), replay
-// the un-tailed remainder, attach the log, and reopen /ingest and
-// /rebalance. Idempotent — repeating the POST reports the promoted state.
+// the un-tailed remainder, attach the log, and reopen /ingest. Idempotent —
+// repeating the POST reports the promoted state.
 func (s *server) handlePromote(rw http.ResponseWriter, _ *http.Request) {
 	s.promoteMu.Lock()
 	defer s.promoteMu.Unlock()
@@ -351,8 +349,9 @@ func (s *server) handleHealthz(rw http.ResponseWriter, _ *http.Request) {
 }
 
 // handleReadyz reports readiness to take traffic: recovery replay finished,
-// engine attached and healthy, no rebalance pause in progress, not shutting
-// down. The 503 body names why ("starting", "recovering", "rebalancing").
+// engine attached and healthy, no checkpoint apply in progress, not shutting
+// down. The 503 body names why ("starting", "recovering", "catching up",
+// "applying checkpoint").
 func (s *server) handleReadyz(rw http.ResponseWriter, _ *http.Request) {
 	select {
 	case <-s.done:
@@ -364,8 +363,8 @@ func (s *server) handleReadyz(rw http.ResponseWriter, _ *http.Request) {
 		http.Error(rw, s.notReadyReason(), http.StatusServiceUnavailable)
 		return
 	}
-	if s.eng.Rebalancing() {
-		http.Error(rw, "rebalancing", http.StatusServiceUnavailable)
+	if s.eng.ApplyingCheckpoint() {
+		http.Error(rw, "applying checkpoint", http.StatusServiceUnavailable)
 		return
 	}
 	if err := s.eng.Err(); err != nil {
@@ -865,50 +864,6 @@ func (s *server) handleSnapshot(rw http.ResponseWriter, req *http.Request) {
 		// Headers are gone; the truncated body fails the client's checksum.
 		return
 	}
-}
-
-// handleRebalance is the admin trigger for an online shard rebalance:
-// barrier-checkpoint, restore under a new layout, resume — ingest blocks for
-// the duration, results are never lost or duplicated. ?shards=K changes the
-// shard count (default: keep it); the layout is weighted by the observed
-// per-topic resident load unless ?weighted=0 asks for the uniform modulo
-// table. Responds with the before/after imbalance and the barrier latency.
-func (s *server) handleRebalance(rw http.ResponseWriter, req *http.Request) {
-	if s.refuseOnFollower(rw) {
-		return
-	}
-	before := s.eng.Stats()
-	k := before.Shards
-	if q := req.URL.Query().Get("shards"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 || v > cliutil.MaxShards {
-			http.Error(rw, fmt.Sprintf("bad shards=%q: integer in [1,%d] required", q, cliutil.MaxShards),
-				http.StatusBadRequest)
-			return
-		}
-		k = v
-	}
-	var layout engine.Layout
-	if req.URL.Query().Get("weighted") == "0" {
-		layout = engine.DefaultLayout(k)
-	} else {
-		layout = s.eng.BalancedLayout(k)
-	}
-	start := time.Now()
-	if err := s.eng.Rebalance(layout); err != nil {
-		http.Error(rw, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	after := s.eng.Stats()
-	rw.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(rw).Encode(map[string]any{
-		"shards":           after.Shards,
-		"seq":              after.Rebalance.LastSeq,
-		"duration_ms":      float64(time.Since(start).Microseconds()) / 1000,
-		"imbalance_before": before.Imbalance,
-		"imbalance_after":  after.Imbalance,
-		"rebalances":       after.Rebalance.Rebalances,
-	})
 }
 
 // checkpointPath resolves a client-supplied checkpoint name inside the

@@ -1,14 +1,35 @@
-// Package cliutil holds the flag validation shared by the terids command
-// line tools, so the parameter ranges (and their error messages) stay
-// identical across cmd/terids and cmd/terids-serve instead of drifting as
-// per-command copies.
+// Package cliutil holds the flag validation and listener construction
+// shared by the terids command line tools, so the parameter ranges (and
+// their error messages) and the HTTP edge settings stay identical across
+// cmd/terids and cmd/terids-serve instead of drifting as per-command copies.
 package cliutil
 
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"time"
 )
+
+// HTTP edge timeouts for every listener the CLIs open. ReadHeaderTimeout
+// bounds how long a client may take to send its request headers, so a
+// slowloris client cannot pin a goroutine; IdleTimeout closes keep-alive
+// connections left idle. There is deliberately no ReadTimeout or
+// WriteTimeout: they would cut long /ingest bodies and /results tails.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer builds a listener's http.Server with the edge timeouts.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: ReadHeaderTimeout,
+		IdleTimeout:       IdleTimeout,
+	}
+}
 
 // MaxShards bounds the -shards flag: beyond this the per-arrival broadcast
 // fan-out dominates any parallelism win.
@@ -75,60 +96,6 @@ func (p Params) Validate() error {
 	}
 	if p.RateLimit < 0 {
 		errs = append(errs, fmt.Errorf("-rate-limit %v, need >= 0 (0 = unlimited)", p.RateLimit))
-	}
-	return errors.Join(errs...)
-}
-
-// Rebalance are the adaptive-rebalancing flags shared by the terids CLIs.
-// The combinations are constrained: the skew monitor needs both a trigger
-// ratio and a sampling period, and auto-sized sharding contradicts an
-// explicitly pinned shard count.
-type Rebalance struct {
-	// Threshold is -rebalance-threshold: the imbalance ratio (most loaded
-	// shard over the per-shard mean) that arms an automatic rebalance.
-	// 0 disables the monitor; anything else must be >= 1 to be meaningful.
-	Threshold float64
-	// Interval is -rebalance-interval: the monitor's sampling period
-	// (required alongside Threshold).
-	Interval time.Duration
-	// AutoShards is -auto-shards (terids): auto-size the shard count and
-	// enable adaptive rebalancing with defaults.
-	AutoShards bool
-	// ShardsSet reports that the user passed -shards explicitly (commands
-	// without -auto-shards pass false).
-	ShardsSet bool
-	// Follower reports that the process runs as a read-only replica
-	// (-follow): the skew monitor is meaningless there — the follower
-	// adopts the writer's layout from its checkpoints instead of making
-	// local placement decisions.
-	Follower bool
-}
-
-// Validate checks the rebalance flag combinations, joining all violations
-// into one error.
-func (r Rebalance) Validate() error {
-	var errs []error
-	if r.Threshold < 0 || (r.Threshold > 0 && r.Threshold < 1) {
-		errs = append(errs, fmt.Errorf("-rebalance-threshold %v, need >= 1 (0 = disabled): it is a max/mean ratio", r.Threshold))
-	}
-	if r.Interval < 0 {
-		errs = append(errs, fmt.Errorf("-rebalance-interval %v, need >= 0", r.Interval))
-	}
-	if r.Threshold > 0 && r.Interval == 0 {
-		errs = append(errs, errors.New(
-			"-rebalance-threshold requires -rebalance-interval: the monitor needs a sampling period"))
-	}
-	if r.Interval > 0 && r.Threshold == 0 {
-		errs = append(errs, errors.New(
-			"-rebalance-interval requires -rebalance-threshold: a period without a trigger ratio does nothing"))
-	}
-	if r.AutoShards && r.ShardsSet {
-		errs = append(errs, errors.New(
-			"-auto-shards and -shards are mutually exclusive: auto-sharding picks and adapts the shard count itself"))
-	}
-	if r.Follower && (r.Threshold > 0 || r.Interval > 0) {
-		errs = append(errs, errors.New(
-			"-rebalance-threshold/-rebalance-interval are incompatible with -follow: a follower adopts the writer's layout from its checkpoints"))
 	}
 	return errors.Join(errs...)
 }

@@ -5,7 +5,9 @@
 // chain onto its live engine and resumes tailing from the new watermark,
 // instead of rebuilding from scratch. The engine object, its OnResult
 // subscribers, metrics, and journal all survive the jump; only the
-// routing/window/shard state and the entity set are replaced.
+// window/shard state and the entity set are replaced. The shard count K
+// stays the engine's own: placement never affects which pairs are emitted,
+// so a checkpoint taken at any K applies to any other.
 //
 // AttachWAL is the other half of warm-standby takeover: promotion opens
 // the writer's log (the flock guarantees the old writer is gone), replays
@@ -19,6 +21,7 @@ import (
 
 	"terids/internal/core"
 	"terids/internal/snapshot"
+	"terids/internal/tuple"
 	"terids/internal/wal"
 )
 
@@ -49,9 +52,9 @@ func (e *Engine) AttachWAL(l *wal.Log) error {
 
 // ApplyCheckpoint advances a running engine to checkpoint c in place:
 // barrier-drain to the current watermark, stop the pipeline, swap the
-// routing/window/shard state for the checkpoint's, replace the entity set
-// and progress counters, and restart. Submissions block for the duration
-// (like Rebalance); OnResult, metrics, and the journal stay attached.
+// window/shard state for the checkpoint's, replace the entity set and
+// progress counters, and restart. Submissions block for the duration;
+// OnResult, metrics, and the journal stay attached.
 // The checkpoint must be at or ahead of the engine's watermark — a live
 // engine never rewinds. Must not be called from OnResult.
 //
@@ -75,20 +78,9 @@ func (e *Engine) ApplyCheckpoint(c *snapshot.Checkpoint) error {
 	if c.Seq < e.seq.Load() {
 		return fmt.Errorf("engine: checkpoint watermark %d is behind the engine at %d", c.Seq, e.seq.Load())
 	}
-	// Adopt the checkpoint's topology when it carries one, so a follower
-	// tracks the writer across rebalances; otherwise keep the current K
-	// under the default table (placement is free — results are identical).
-	l := Layout{K: e.cfg.Shards}
-	if c.Shards >= 1 && c.Shards <= maxAdoptShards && len(c.SlotTable) == LayoutSlots {
-		l = Layout{K: c.Shards, Slots: c.SlotTable}
-	}
-	l, err := l.normalized()
-	if err != nil {
-		return err
-	}
 
-	e.rebalancing.Store(true)
-	defer e.rebalancing.Store(false)
+	e.applying.Store(true)
+	defer e.applying.Store(false)
 	// Submitters between sequence assignment and pipeline injection must
 	// land before the barrier can drain to the watermark.
 	e.inflight.Wait()
@@ -109,7 +101,7 @@ func (e *Engine) ApplyCheckpoint(c *snapshot.Checkpoint) error {
 		return err
 	}
 	e.stateMu.Lock()
-	recs, err := e.rebuild(l, c)
+	recs, err := e.rebuild(c)
 	e.stateMu.Unlock()
 	if err == nil {
 		results := core.NewResultSet()
@@ -135,4 +127,22 @@ func (e *Engine) ApplyCheckpoint(c *snapshot.Checkpoint) error {
 	e.jr.Record("checkpoint_applied", "advanced live engine to checkpoint",
 		map[string]any{"seq": c.Seq, "shards": e.cfg.Shards, "residents": len(c.Residents)})
 	return nil
+}
+
+// ApplyingCheckpoint reports whether ApplyCheckpoint is in its pause window
+// (submissions locked out, pipeline torn down or rebuilding). Serving
+// layers surface it through /readyz.
+func (e *Engine) ApplyingCheckpoint() bool { return e.applying.Load() }
+
+// rebuild replaces the window/shard state and the pipeline channels at the
+// engine's K and reloads the checkpointed residents, returning the restored
+// resident records (ApplyCheckpoint rebuilds the result set from them).
+// Caller holds subMu and stateMu with every pipeline goroutine stopped; the
+// result set and progress counters are left untouched.
+func (e *Engine) rebuild(c *snapshot.Checkpoint) ([]*tuple.Record, error) {
+	if err := e.resetState(); err != nil {
+		return nil, err
+	}
+	e.startSeq = c.Seq
+	return e.loadResidents(c)
 }

@@ -66,10 +66,10 @@ func TestSubmitBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchRebalanceMidStream interleaves batched submission with an
-// online rebalance K→K' at a mid-stream barrier; output must stay
-// byte-identical to the uninterrupted reference.
-func TestSubmitBatchRebalanceMidStream(t *testing.T) {
+// TestSubmitBatchCheckpointMidStream interleaves batched submission with a
+// mid-stream Checkpoint barrier; output must stay byte-identical to the
+// uninterrupted reference.
+func TestSubmitBatchCheckpointMidStream(t *testing.T) {
 	f := loadFixture(t)
 	wantPerArrival, wantFinal := runProcessor(t, f)
 	half := len(f.stream) / 2
@@ -88,8 +88,12 @@ func TestSubmitBatchRebalanceMidStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := eng.Rebalance(DefaultLayout(5)); err != nil {
+	c, err := eng.Checkpoint()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if c.Seq != int64(half) {
+		t.Fatalf("mid-stream checkpoint at seq %d, want %d", c.Seq, half)
 	}
 	for off := half; off < len(f.stream); off += 16 {
 		end := off + 16
@@ -106,14 +110,14 @@ func TestSubmitBatchRebalanceMidStream(t *testing.T) {
 	for i := range wantPerArrival {
 		pairs, ok := col.pairs[int64(i)]
 		if !ok {
-			t.Fatalf("arrival %d never finalized across the rebalance", i)
+			t.Fatalf("arrival %d never finalized across the checkpoint", i)
 		}
 		if !samePairs(wantPerArrival[i], pairs) {
 			t.Fatalf("arrival %d: got %v, reference %v", i, pairs, wantPerArrival[i])
 		}
 	}
 	if !samePairs(wantFinal, eng.ResultSet()) {
-		t.Fatal("final entity set differs after mid-stream rebalance")
+		t.Fatal("final entity set differs after mid-stream checkpoint")
 	}
 }
 

@@ -86,14 +86,11 @@ type Config struct {
 	// holds those sequences). The engine does not own the log: closing the
 	// engine leaves it open, and it must outlive the engine.
 	WAL *wal.Log
-	// Rebalance configures the adaptive skew monitor (see rebalance.go).
-	// The zero value disables it; manual Rebalance calls work regardless.
-	Rebalance RebalanceConfig
 	// Obs selects the registry the engine publishes its stage metrics into.
 	// Nil means obs.Default(), the process-wide registry /metrics serves.
 	Obs *obs.Registry
-	// Journal selects the event journal lifecycle events (rebalances,
-	// pipeline failure) are recorded into. Nil means obs.DefaultJournal(),
+	// Journal selects the event journal lifecycle events (checkpoint
+	// applies, pipeline failure) are recorded into. Nil means obs.DefaultJournal(),
 	// the journal GET /events serves; ObsOff disables it with the rest of
 	// the instrumentation.
 	Journal *obs.Journal
@@ -160,9 +157,6 @@ type profileOut struct {
 	im    *tuple.Imputed
 	prof  *prune.Profile
 	homes []int
-	// slot is the layout slot the arrival's residency is charged to (-1 for
-	// broadcast residents) — the rebalancer's movable unit of load.
-	slot int
 }
 
 // header is the router → merger side channel: per-arrival bookkeeping the
@@ -190,10 +184,6 @@ type header struct {
 type Engine struct {
 	step *core.Step
 	cfg  Config
-	// autoImpute records that the caller left ImputeWorkers unset (<= 0), so
-	// the pool was defaulted to Shards. Rebalance keeps the two in lockstep
-	// for auto-sized engines; an explicit ImputeWorkers stays fixed.
-	autoImpute bool
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -208,7 +198,7 @@ type Engine struct {
 	subMu  sync.Mutex
 	closed bool
 	// inflight tracks submitters between sequence assignment and pipeline
-	// injection; Close and Rebalance wait for them before closing imputeIn
+	// injection; Close and ApplyCheckpoint wait for them before closing imputeIn
 	// (an assigned sequence number MUST reach the pipeline, or the merger's
 	// reorder buffer would wait for it forever).
 	inflight sync.WaitGroup
@@ -220,11 +210,11 @@ type Engine struct {
 	// router's and merger's reorder buffers release from it.
 	startSeq int64
 
-	// stateMu guards the fields a Rebalance swaps out — shards, shardCh,
-	// layout, cfg.Shards, the pipeline channels, the windows — against
-	// concurrent readers outside the pipeline (Stats, Imbalance,
-	// BalancedLayout). Pipeline goroutines never take it: they are created
-	// after a swap completes and stopped before the next one begins.
+	// stateMu guards the fields ApplyCheckpoint swaps out — shards, shardCh,
+	// the pipeline channels, the windows — against concurrent readers
+	// outside the pipeline (Stats). Pipeline goroutines never take it: they
+	// are created after a swap completes and stopped before the next one
+	// begins.
 	stateMu sync.RWMutex
 
 	// The pipeline channels carry batches: submitBatch splits a batch into
@@ -239,7 +229,7 @@ type Engine struct {
 	hdrCh      chan []header
 	partials   chan partial
 	// shardScratch holds the router's per-shard batch under construction
-	// (router-owned; length tracks cfg.Shards across rebalances). A slot is
+	// (router-owned; length cfg.Shards). A slot is
 	// nil after its batch is handed to the shard and refilled from the pool
 	// on the next routed run.
 	shardScratch [][]shardItem
@@ -253,11 +243,11 @@ type Engine struct {
 	shardPairsPool  *slicePool[shardPair]
 	walBufPool      *slicePool[wal.Entry]
 
-	// Interned topic tables (see topic.go): kwSlots caches each shared
-	// keyword's layout slot (keywords are immutable for the engine's life);
-	// homeSingle[s] and homeAll are the shared, read-only home-shard slices
-	// homeShards returns, rebuilt whenever K changes.
-	kwSlots    []int
+	// Interned placement tables (see topic.go): kwShard caches each shared
+	// keyword's home shard; homeSingle[s] and homeAll are the shared,
+	// read-only home-shard slices homeShards returns. Keywords and K are
+	// fixed for the engine's life, so these are built once.
+	kwShard    []int
 	homeSingle [][]int
 	homeAll    []int
 
@@ -265,23 +255,13 @@ type Engine struct {
 	shardWG  sync.WaitGroup
 	mergeWG  sync.WaitGroup
 
-	// windows is the router-owned sequential stream state; live maps each
-	// resident RID (duplicate rejection) to the layout slot its residency is
-	// charged to (-1 for broadcast residents).
+	// windows is the router-owned sequential stream state; live is the set
+	// of resident RIDs (duplicate rejection).
 	windows  *stream.MultiWindow
 	timeWins []*stream.TimeWindow
-	live     map[string]int
+	live     map[string]struct{}
 
 	shards []*shard
-	// layout is the topic-hash slot → shard table (see rebalance.go);
-	// slotWeight counts single-home residents per slot (router-written,
-	// monitor-read), the weights BalancedLayout packs.
-	layout     []int
-	slotWeight []atomic.Int64
-
-	reb         rebState
-	monitorStop chan struct{}
-	monitorWG   sync.WaitGroup
 
 	// met is nil when Config.ObsOff is set — every stage guards its
 	// instrumentation with one pointer check. traces is nil unless
@@ -291,9 +271,9 @@ type Engine struct {
 	traces *obs.Ring[Trace]
 	jr     *obs.Journal
 
-	// rebalancing is set for the span of an online rebalance — the pause
-	// window during which /readyz reports not-ready.
-	rebalancing atomic.Bool
+	// applying is set for the span of an ApplyCheckpoint — the pause window
+	// during which /readyz reports not-ready.
+	applying atomic.Bool
 
 	failOnce sync.Once
 	failErr  error
@@ -317,14 +297,12 @@ func New(sh *core.Shared, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.start()
-	e.startMonitor()
 	return e, nil
 }
 
 // newEngine builds the engine — channels, windows, shard grids — without
 // launching the pipeline, so NewFromSnapshot can load state first.
 func newEngine(sh *core.Shared, cfg Config) (*Engine, error) {
-	autoImpute := cfg.ImputeWorkers <= 0
 	cfg.fill()
 	step, err := core.NewStep(sh, cfg.Core)
 	if err != nil {
@@ -332,17 +310,9 @@ func newEngine(sh *core.Shared, cfg Config) (*Engine, error) {
 	}
 	cfg.Core = step.Config()
 	e := &Engine{
-		step:       step,
-		cfg:        cfg,
-		autoImpute: autoImpute,
-		imputeIn:   make(chan []*item, cfg.QueueDepth),
-		imputedOut: make(chan []*item, cfg.QueueDepth),
-		hdrCh:      make(chan []header, cfg.QueueDepth),
-		partials:   make(chan partial, cfg.QueueDepth*cfg.Shards),
-		results:    core.NewResultSet(),
-		live:       make(map[string]int),
-		layout:     DefaultLayout(cfg.Shards).Slots,
-		slotWeight: make([]atomic.Int64, LayoutSlots),
+		step:    step,
+		cfg:     cfg,
+		results: core.NewResultSet(),
 	}
 	e.drained = sync.NewCond(&e.resultsMu)
 	e.ctx, e.cancel = context.WithCancel(context.Background())
@@ -371,43 +341,60 @@ func newEngine(sh *core.Shared, cfg Config) (*Engine, error) {
 	e.partEntriesPool = newSlicePool[partialEntry](ps("partial_batch"))
 	e.shardPairsPool = newSlicePool[shardPair](ps("shard_pairs"))
 	e.walBufPool = newSlicePool[wal.Entry](ps("wal_entries"))
-	kws := step.Shared().Keywords
-	e.kwSlots = make([]int, len(kws))
-	for i, kw := range kws {
-		e.kwSlots[i] = slotOf(kw)
+	e.internPlacement()
+	if err := e.resetState(); err != nil {
+		return nil, err
 	}
-	e.internHomes()
+	return e, nil
+}
 
-	cc := cfg.Core
+// resetState builds empty windows, shard grids and pipeline channels at the
+// engine's K and publishes them, replacing any previous ones. Every fallible
+// construction happens into locals first: on a live engine (ApplyCheckpoint)
+// a failure must not publish half-built state — a shards slice with nil
+// entries would panic a concurrent Stats reader. The caller holds stateMu or
+// owns the engine exclusively, with no pipeline goroutine running.
+func (e *Engine) resetState() error {
+	cc := e.cfg.Core
+	k := e.cfg.Shards
+	var timeWins []*stream.TimeWindow
+	var windows *stream.MultiWindow
 	if cc.TimeSpan > 0 {
-		e.timeWins = make([]*stream.TimeWindow, cc.Streams)
-		for i := range e.timeWins {
+		timeWins = make([]*stream.TimeWindow, cc.Streams)
+		for i := range timeWins {
 			tw, err := stream.NewTimeWindow(cc.TimeSpan)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			e.timeWins[i] = tw
+			timeWins[i] = tw
 		}
 	} else {
 		mw, err := stream.NewMultiWindow(cc.Streams, cc.WindowSize)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		e.windows = mw
+		windows = mw
+	}
+	shardCh := make([]chan shardCmd, k)
+	shards := make([]*shard, k)
+	for i := 0; i < k; i++ {
+		g, err := e.step.NewGrid()
+		if err != nil {
+			return err
+		}
+		shardCh[i] = make(chan shardCmd, e.cfg.QueueDepth)
+		shards[i] = newShard(i, e, g)
 	}
 
-	e.shardCh = make([]chan shardCmd, cfg.Shards)
-	e.shardScratch = make([][]shardItem, cfg.Shards)
-	e.shards = make([]*shard, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
-		g, err := step.NewGrid()
-		if err != nil {
-			return nil, err
-		}
-		e.shardCh[i] = make(chan shardCmd, cfg.QueueDepth)
-		e.shards[i] = newShard(i, e, g)
-	}
-	return e, nil
+	e.imputeIn = make(chan []*item, e.cfg.QueueDepth)
+	e.imputedOut = make(chan []*item, e.cfg.QueueDepth)
+	e.hdrCh = make(chan []header, e.cfg.QueueDepth)
+	e.partials = make(chan partial, e.cfg.QueueDepth*k)
+	e.shardScratch = make([][]shardItem, k)
+	e.timeWins, e.windows = timeWins, windows
+	e.live = make(map[string]struct{})
+	e.shardCh, e.shards = shardCh, shards
+	return nil
 }
 
 // start launches the pipeline goroutines and wires the shutdown cascade:
@@ -654,7 +641,7 @@ func (e *Engine) inject(chunk []*item) error {
 		return nil
 	case <-e.ctx.Done():
 		// Only a pipeline failure cancels the context while submitters are
-		// inflight (Close and Rebalance wait for us first).
+		// inflight (Close and ApplyCheckpoint wait for us first).
 		if err := e.Err(); err != nil {
 			return err
 		}
@@ -687,13 +674,6 @@ func (e *Engine) Close() error {
 	e.closed = true
 	e.subMu.Unlock()
 	if first {
-		// The skew monitor must stop before intake closes: a rebalance in
-		// flight holds the submission lock until it finishes, and the next
-		// trigger would hit ErrClosed anyway.
-		if e.monitorStop != nil {
-			close(e.monitorStop)
-		}
-		e.monitorWG.Wait()
 		// Durable-path submitters between WAL reservation and injection must
 		// finish before the intake channel closes: their sequence numbers
 		// are already assigned and the merger is waiting for them.
@@ -734,7 +714,7 @@ func (e *Engine) imputeWorker() {
 			prof := e.step.Profile(im)
 			it.prof.im = im
 			it.prof.prof = prof
-			it.prof.homes, it.prof.slot = e.homeShards(prof)
+			it.prof.homes = e.homeShards(prof)
 			bd.ER += sw.Lap() // profile construction is ER-phase cost in core
 			e.acc.AddBreakdown(bd)
 		}
@@ -835,7 +815,6 @@ func (e *Engine) routeBatch(items []*item) bool {
 			hdr := header{seq: it.seq, rid: it.rec.RID, skip: true, it: it}
 			if tr := it.tr; tr != nil {
 				tr.Rejected = true
-				tr.Slot = -1
 				hdr.tr = tr
 			}
 			hdrs = append(hdrs, hdr)
@@ -850,18 +829,11 @@ func (e *Engine) routeBatch(items []*item) bool {
 		var rids []string
 		for _, x := range expired {
 			rids = append(rids, x.RID)
-			if slot, ok := e.live[x.RID]; ok && slot >= 0 {
-				e.slotWeight[slot].Add(-1)
-			}
 			delete(e.live, x.RID)
 		}
-		e.live[it.rec.RID] = it.prof.slot
-		if it.prof.slot >= 0 {
-			e.slotWeight[it.prof.slot].Add(1)
-		}
+		e.live[it.rec.RID] = struct{}{}
 		homes := it.prof.homes
 		if tr := it.tr; tr != nil {
-			tr.Slot = it.prof.slot
 			tr.Homes = homes
 			// Allocated before the fan-out: each shard writes only its own
 			// index (ordered by its partial send), the merger reads after all

@@ -8,7 +8,7 @@ import (
 
 // TestMain gates the package on goroutine hygiene: every Engine the tests
 // start must be fully torn down by Close — no orphaned impute workers, shard
-// loops, mergers, skew monitors, or follower tails survive the suite.
+// loops, mergers, or follower tails survive the suite.
 func TestMain(m *testing.M) {
 	testutil.VerifyNoLeaks(m)
 }

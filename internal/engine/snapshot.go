@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"terids/internal/core"
@@ -26,17 +25,13 @@ import (
 //
 // The returned checkpoint can be restored at any shard count K' via
 // NewFromSnapshot, or into a single-threaded core.Processor.
-func (e *Engine) Checkpoint() (*snapshot.Checkpoint, error) {
-	e.subMu.Lock()
-	defer e.subMu.Unlock()
-	return e.checkpointLocked()
-}
-
-// checkpointLocked is the barrier body, shared by Checkpoint and Rebalance.
-// Caller holds subMu (so the watermark cannot advance).
 //
 //terids:deterministic
-func (e *Engine) checkpointLocked() (*snapshot.Checkpoint, error) {
+func (e *Engine) Checkpoint() (*snapshot.Checkpoint, error) {
+	// Holding subMu for the whole capture keeps the watermark from
+	// advancing.
+	e.subMu.Lock()
+	defer e.subMu.Unlock()
 	target := e.seq.Load()
 
 	e.resultsMu.Lock()
@@ -78,7 +73,6 @@ func (e *Engine) checkpointLocked() (*snapshot.Checkpoint, error) {
 	c.Completed = e.completed
 	c.Rejected = e.rejected
 	c.Shards = e.cfg.Shards
-	c.SlotTable = slices.Clone(e.layout)
 	for _, r := range recs {
 		c.Residents = append(c.Residents, core.ResidentFromRecord(r, seqOf[r.RID]))
 	}
@@ -91,23 +85,24 @@ func (e *Engine) checkpointLocked() (*snapshot.Checkpoint, error) {
 	return c, nil
 }
 
+// maxAdoptShards bounds the shard count an auto-sizing restore (Shards == 0)
+// will adopt from a checkpoint. Checkpoints are CRC-checked, not
+// authenticated: a tampered Shards field must not be able to make recovery
+// spawn an arbitrary number of goroutines and grids. Mirrors
+// cliutil.MaxShards, the cap every flag path enforces.
+const maxAdoptShards = 64
+
 // NewFromSnapshot rebuilds an engine from a checkpoint taken at any shard
 // count and resumes at its watermark. Residency is re-derived from each
 // resident's recomputed profile under the new configuration's K', so
 // restoring at a different shard count reshards for free; output remains
 // byte-identical to an uninterrupted run because resolution never depends on
-// where a tuple resides.
-//
-// Layout adoption: a checkpoint taken after a rebalance carries its slot
-// table (snapshot format v2). When the configuration auto-sizes the shard
-// count (Shards == 0) the snapshot's K and table are adopted wholesale, so a
-// rebalanced deployment recovers balanced; an explicit Shards equal to the
-// snapshot's K adopts the table too; any other K falls back to the default
-// modulo layout at the requested K — always safe, placement being free.
+// where a tuple resides. When the configuration auto-sizes the shard count
+// (Shards == 0), the checkpoint's K is adopted, up to maxAdoptShards.
 //
 //terids:deterministic
 func NewFromSnapshot(sh *core.Shared, cfg Config, c *snapshot.Checkpoint) (*Engine, error) {
-	if cfg.Shards == 0 && c.Shards >= 1 && c.Shards <= maxAdoptShards && len(c.SlotTable) == LayoutSlots {
+	if cfg.Shards == 0 && c.Shards >= 1 && c.Shards <= maxAdoptShards {
 		cfg.Shards = c.Shards
 	}
 	e, err := newEngine(sh, cfg)
@@ -119,11 +114,6 @@ func NewFromSnapshot(sh *core.Shared, cfg Config, c *snapshot.Checkpoint) (*Engi
 	}
 	if err := core.CheckpointCompatible(sh, e.cfg.Core, c); err != nil {
 		return nil, err
-	}
-	if len(c.SlotTable) == LayoutSlots && c.Shards == e.cfg.Shards {
-		if l, err := (Layout{K: c.Shards, Slots: c.SlotTable}).normalized(); err == nil {
-			e.layout = l.Slots
-		}
 	}
 	recs, err := e.loadResidents(c)
 	if err != nil {
@@ -137,14 +127,13 @@ func NewFromSnapshot(sh *core.Shared, cfg Config, c *snapshot.Checkpoint) (*Engi
 	e.completed = c.Completed
 	e.rejected = c.Rejected
 	e.start()
-	e.startMonitor()
 	return e, nil
 }
 
 // loadResidents replays the checkpoint's residents into the windows, the
-// live set, and the shard grids under the engine's current layout — the
-// restore body shared by NewFromSnapshot and Rebalance. The engine must be
-// freshly built (or rebuilt) and not yet started.
+// live set, and the shard grids — the restore body shared by
+// NewFromSnapshot and ApplyCheckpoint. The engine must be freshly built (or
+// rebuilt) and not yet started.
 //
 //terids:deterministic
 func (e *Engine) loadResidents(c *snapshot.Checkpoint) ([]*tuple.Record, error) {
@@ -164,12 +153,8 @@ func (e *Engine) loadResidents(c *snapshot.Checkpoint) ([]*tuple.Record, error) 
 		seq := c.Residents[i].ArrivalSeq
 		im, _ := e.step.Impute(rec)
 		prof := e.step.Profile(im)
-		homes, slot := e.homeShards(prof)
-		e.live[rec.RID] = slot
-		if slot >= 0 {
-			e.slotWeight[slot].Add(1)
-		}
-		for _, h := range homes {
+		e.live[rec.RID] = struct{}{}
+		for _, h := range e.homeShards(prof) {
 			s := e.shards[h]
 			if err := s.grid.Insert(&grid.Entry{Rec: rec, Prof: prof}); err != nil {
 				return nil, err

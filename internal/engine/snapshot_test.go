@@ -8,6 +8,7 @@ import (
 
 	"terids/internal/core"
 	"terids/internal/snapshot"
+	"terids/internal/testutil"
 )
 
 // collectResults wires an engine result sink indexed by sequence number.
@@ -378,5 +379,132 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	bad.WindowSize = 49
 	if _, err := NewFromSnapshot(f.sh, Config{Core: bad, Shards: 2}, c); err == nil {
 		t.Fatal("NewFromSnapshot accepted a mismatched window size")
+	}
+}
+
+// TestAdoptionCapsShardCount: a tampered checkpoint claiming a huge shard
+// count must not make an auto-sizing restore (Shards=0) spawn that many
+// shard workers — CRC protects integrity, not authenticity.
+func TestAdoptionCapsShardCount(t *testing.T) {
+	f := loadFixture(t)
+	eng, err := New(f.sh, Config{Core: f.cfg, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range f.stream[:20] {
+		if err := eng.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := eng.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Tamper: an absurd shard count.
+	c.Shards = 100000
+	e2, err := NewFromSnapshot(f.sh, Config{Core: f.cfg, Shards: 0}, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if got := e2.Stats().Shards; got > maxAdoptShards {
+		t.Fatalf("restore adopted K=%d from a tampered checkpoint, cap is %d", got, maxAdoptShards)
+	}
+}
+
+// TestRestoreFromCheckpointWithShardSlots: checkpoints written by builds with the
+// shard rebalancer carry a 256-entry slot table — a full checkpoint and the
+// deltas chained on it. Both must restore to an engine whose state
+// re-encodes byte-identically to the table-free checkpoint and whose
+// continued output matches the uninterrupted reference.
+func TestRestoreFromCheckpointWithShardSlots(t *testing.T) {
+	f := loadFixture(t)
+	wantPerArrival, wantFinal := runProcessor(t, f)
+	n := len(f.stream)
+	q1, q2 := n/3, 2*n/3
+
+	eng, err := New(f.sh, Config{Core: f.cfg, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ckpts []*snapshot.Checkpoint
+	for _, span := range [][2]int{{0, q1}, {q1, q2}} {
+		for _, r := range f.stream[span[0]:span[1]] {
+			if err := eng.Submit(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c, err := eng.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckpts = append(ckpts, c)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	encode := func(c *snapshot.Checkpoint) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := snapshot.Encode(&buf, c); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	base, err := snapshot.Decode(bytes.NewReader(testutil.WithShardSlots(t, encode(ckpts[0]), 2)))
+	if err != nil {
+		t.Fatalf("full checkpoint with slot table: %v", err)
+	}
+	d, err := snapshot.ComputeDelta(ckpts[0], ckpts[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dbuf bytes.Buffer
+	if err := snapshot.EncodeDelta(&dbuf, d); err != nil {
+		t.Fatal(err)
+	}
+	legacyDelta, err := snapshot.DecodeDelta(bytes.NewReader(testutil.WithShardSlots(t, dbuf.Bytes(), 2)))
+	if err != nil {
+		t.Fatalf("delta with slot table: %v", err)
+	}
+	head, err := snapshot.ApplyDelta(base, legacyDelta)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for i, c := range []*snapshot.Checkpoint{base, head} {
+		want := ckpts[i]
+		col := newCollector()
+		e2, err := NewFromSnapshot(f.sh, Config{Core: f.cfg, Shards: 2, OnResult: col.onResult}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e2.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encode(got), encode(want)) {
+			t.Fatalf("restore %d: engine state differs from the checkpoint it was restored from", i)
+		}
+		for _, r := range f.stream[want.Seq:] {
+			if err := e2.Submit(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for s := want.Seq; s < int64(n); s++ {
+			if !samePairs(wantPerArrival[s], col.pairs[s]) {
+				t.Fatalf("restore %d: arrival %d diverged from the reference", i, s)
+			}
+		}
+		if !samePairs(wantFinal, e2.ResultSet()) {
+			t.Fatalf("restore %d: final entity set differs from the reference", i)
+		}
 	}
 }

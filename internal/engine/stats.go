@@ -13,12 +13,10 @@ type ShardStats struct {
 	// partition.
 	Resolved int64 `json:"resolved"`
 	// Inserts is the monotonic count of residency insertions this shard has
-	// taken; its per-interval delta is the shard's submit rate, the second
-	// signal (besides Residents) the skew monitor watches.
+	// taken.
 	Inserts int64 `json:"inserts"`
-	// ERTimeNs is the shard's cumulative resolve time in nanoseconds — the
-	// skew monitor's primary load signal (per-interval deltas measure where
-	// resolution CPU actually goes, which resident counts only approximate).
+	// ERTimeNs is the shard's cumulative resolve time in nanoseconds: where
+	// resolution CPU actually goes, which resident counts only approximate.
 	ERTimeNs int64 `json:"er_time_ns"`
 }
 
@@ -31,9 +29,7 @@ type ShardStats struct {
 // single-grid Figure 4 attribution (run the Processor for that).
 type Stats struct {
 	Shards int `json:"shards"`
-	// ImputeWorkers is the current imputation pool size. It tracks Shards
-	// across rebalances when the configuration auto-sized it, and stays at
-	// the configured value otherwise.
+	// ImputeWorkers is the imputation pool size.
 	ImputeWorkers int   `json:"impute_workers"`
 	Submitted     int64 `json:"submitted"`
 	Completed     int64 `json:"completed"`
@@ -43,11 +39,6 @@ type Stats struct {
 	LivePairs int            `json:"live_pairs"`
 	Totals    metrics.Totals `json:"totals"`
 	PerShard  []ShardStats   `json:"per_shard"`
-	// Imbalance is the current skew ratio: the most loaded shard's residents
-	// over the per-shard mean (1 = balanced, Shards = everything on one).
-	Imbalance float64 `json:"imbalance"`
-	// Rebalance is the adaptive rebalancer's health block.
-	Rebalance RebalanceStats `json:"rebalance"`
 	// QueueLen is the current ingest queue occupancy (of QueueDepth).
 	QueueLen   int `json:"queue_len"`
 	QueueDepth int `json:"queue_depth"`
@@ -68,7 +59,6 @@ func (e *Engine) Stats() Stats {
 		Completed:     completed,
 		Rejected:      rejected,
 		Totals:        e.acc.Snapshot(),
-		Imbalance:     imbalanceOf(e.shards),
 		QueueLen:      len(e.imputeIn),
 		QueueDepth:    e.cfg.QueueDepth,
 	}
@@ -83,6 +73,5 @@ func (e *Engine) Stats() Stats {
 	}
 	e.stateMu.RUnlock()
 	st.LivePairs = e.ResultCount()
-	st.Rebalance = e.RebalanceStats()
 	return st
 }

@@ -20,12 +20,10 @@ import (
 // Keyword-free tuples hash on their RID, spreading the topic-neutral bulk
 // uniformly.
 //
-// The topic hash is indirected through a fixed-size slot table (the engine's
-// Layout): topic → fnv32a % LayoutSlots → slot → layout[slot] → shard. The
-// default layout is the plain modulo assignment; the rebalancer installs
-// weighted tables that split hot slots' neighbours away from overloaded
-// shards. Because placement is free, swapping the table never changes the
-// emitted pairs.
+// The placement is fixed for the engine's life: shard = fnv32a(topic or
+// RID) % K. K never changes on a live engine (a follower's ApplyCheckpoint
+// keeps its own K), so each keyword's shard is computed once at
+// construction.
 
 // straddleRatio: a secondary topic within this fraction of the dominant
 // topic's mass makes the residency ambiguous enough to broadcast.
@@ -40,9 +38,6 @@ func fnv32a(s string) uint32 {
 	}
 	return h
 }
-
-// slotOf maps a topic (or RID) to its layout slot.
-func slotOf(s string) int { return int(fnv32a(s) % LayoutSlots) }
 
 // keywordMass sums, over attributes, the candidate probability mass of
 // candidates containing kw — an upper-bound style weight of how much of the
@@ -59,33 +54,32 @@ func keywordMass(im *tuple.Imputed, kw string) float64 {
 	return m
 }
 
-// internHomes (re)builds the interned home-shard tables for the current
-// shard count: homeSingle[sh] is the shared single-home slice for shard sh,
-// homeAll the shared broadcast slice. homeShards returns these directly, so
-// repeated topics stop allocating per arrival; every consumer treats them as
-// read-only. Called from newEngine and from rebuild (before residents are
-// re-homed), never concurrently with the pipeline.
-func (e *Engine) internHomes() {
+// internPlacement builds the interned placement tables for the engine's K:
+// kwShard[i] is shared keyword i's home shard, homeSingle[sh] the shared
+// single-home slice for shard sh, homeAll the shared broadcast slice.
+// homeShards returns these directly, so repeated topics stop allocating per
+// arrival; every consumer treats them as read-only. Called once, from
+// newEngine.
+func (e *Engine) internPlacement() {
 	k := e.cfg.Shards
+	kws := e.step.Shared().Keywords
+	e.kwShard = make([]int, len(kws))
+	for i, kw := range kws {
+		e.kwShard[i] = int(fnv32a(kw) % uint32(k))
+	}
 	e.homeSingle = make([][]int, k)
+	e.homeAll = make([]int, k)
 	for i := 0; i < k; i++ {
 		e.homeSingle[i] = []int{i}
-	}
-	e.homeAll = make([]int, k)
-	for i := range e.homeAll {
 		e.homeAll[i] = i
 	}
 }
 
-// homeShards picks the grid partitions an arrival resides in, plus the
-// layout slot its residency is charged to (-1 for broadcast residents, whose
-// placement the rebalancer cannot move). The returned slice aliases the
-// engine's interned tables and must never be mutated. Called from impute
-// workers and the restore path only — never concurrently with a layout swap,
-// because the pipeline is stopped at the rebalance barrier.
+// homeShards picks the grid partitions an arrival resides in. The returned
+// slice aliases the engine's interned tables and must never be mutated.
 //
 //terids:hotpath
-func (e *Engine) homeShards(prof *prune.Profile) (homes []int, slot int) {
+func (e *Engine) homeShards(prof *prune.Profile) []int {
 	kws := e.step.Shared().Keywords
 	var best, second float64
 	bestKW, secondKW := -1, -1
@@ -104,15 +98,12 @@ func (e *Engine) homeShards(prof *prune.Profile) (homes []int, slot int) {
 	}
 	if bestKW < 0 {
 		// Topic-neutral tuple: uniform spread by RID.
-		s := slotOf(prof.Im.R.RID)
-		return e.homeSingle[e.layout[s]], s
+		return e.homeSingle[fnv32a(prof.Im.R.RID)%uint32(len(e.homeSingle))]
 	}
-	s1 := e.kwSlots[bestKW]
-	if secondKW >= 0 && second >= straddleRatio*best {
-		if s2 := e.kwSlots[secondKW]; e.layout[s2] != e.layout[s1] {
-			// Straddles shards: broadcast residency.
-			return e.homeAll, -1
-		}
+	home := e.kwShard[bestKW]
+	if secondKW >= 0 && second >= straddleRatio*best && e.kwShard[secondKW] != home {
+		// Straddles shards: broadcast residency.
+		return e.homeAll
 	}
-	return e.homeSingle[e.layout[s1]], s1
+	return e.homeSingle[home]
 }

@@ -91,7 +91,7 @@ func TestFig5bShape(t *testing.T) {
 	// The efficiency ordering vs the heaviest baseline holds even at the
 	// tiny test scale; the full CDD-family ordering (TER-iDS < Ij+GER <
 	// CDD+ER < DD+ER) needs realistic sizes and is exercised by the
-	// benchmark harness (see EXPERIMENTS.md).
+	// benchmark harness (`terids-bench -list` names the experiments).
 	if v["TER-iDS"] >= v["DD+ER"] {
 		t.Fatalf("TER-iDS %v not faster than DD+ER %v", v["TER-iDS"], v["DD+ER"])
 	}

@@ -4,21 +4,16 @@ import (
 	"bytes"
 	"io"
 	"testing"
+
+	"terids/internal/testutil"
 )
 
-// fuzzSeed encodes a representative checkpoint (with and without the v2
-// slot table) so the mutator starts from real wire bytes.
-func fuzzSeed(f *testing.F, slotTable bool) []byte {
+// fuzzSeed encodes a representative checkpoint so the mutator starts from
+// real wire bytes.
+func fuzzSeed(f *testing.F) []byte {
 	f.Helper()
-	c := sampleCheckpoint()
-	if slotTable {
-		c.SlotTable = make([]int, 256)
-		for i := range c.SlotTable {
-			c.SlotTable[i] = i % c.Shards
-		}
-	}
 	var buf bytes.Buffer
-	if err := Encode(&buf, c); err != nil {
+	if err := Encode(&buf, sampleCheckpoint()); err != nil {
 		f.Fatal(err)
 	}
 	return buf.Bytes()
@@ -40,17 +35,17 @@ func deltaSeed(f *testing.F) []byte {
 }
 
 // FuzzSnapshotDecode hardens restore against arbitrary checkpoint
-// corruption — full snapshots (v1/v2) and delta checkpoints (v3) alike:
+// corruption — full snapshots (v2) and delta checkpoints (v3) alike, with
+// and without the slot table older builds wrote:
 // random mutations of valid artifacts must never panic or over-allocate —
 // corrupt input returns an error. Anything DecodeAny does accept must be
 // structurally valid (Validate passes) and re-encodable, so a recovered
 // checkpoint can always be checkpointed again.
 func FuzzSnapshotDecode(f *testing.F) {
-	plain := fuzzSeed(f, false)
-	layout := fuzzSeed(f, true)
+	plain := fuzzSeed(f)
 	delta := deltaSeed(f)
 	f.Add(plain)
-	f.Add(layout)
+	f.Add(testutil.WithShardSlots(f, plain, 4))
 	f.Add(delta)
 	f.Add(plain[:len(plain)-2])
 	f.Add(plain[:len(Magic)+10])

@@ -41,10 +41,10 @@ import (
 // Magic identifies a TER-iDS checkpoint file.
 const Magic = "TERIDSCP"
 
-// Version is the current full-checkpoint format version. Version 2 appends
-// the shard layout slot table (adaptive rebalancing); Decode still reads
-// version-1 files, which simply carry no layout (SlotTable nil — restore
-// derives the default modulo layout).
+// Version is the current full-checkpoint format version. Its payload ends
+// in a slot-table section that older builds filled with a shard placement
+// table; encoders now write it empty, and decoders read and discard a
+// non-empty one so checkpoints from those builds still restore.
 const Version = 2
 
 // DeltaVersion is the format version of incremental (delta) checkpoints: a
@@ -119,14 +119,6 @@ type Checkpoint struct {
 	Residents []Resident
 	// Pairs is the live entity set.
 	Pairs []PairRef
-
-	// SlotTable is the engine's topic-hash→shard layout at capture time
-	// (format v2+): entry s names the shard owning hash slot s, every value
-	// in [0, Shards). Empty for version-1 checkpoints, single-threaded
-	// snapshots, and engines on the default modulo layout. Like Shards it is
-	// advisory: restore adopts it only when the shard counts line up, because
-	// placement never affects which pairs are emitted.
-	SlotTable []int
 }
 
 // Validate checks the checkpoint's structural invariants: ascending arrival
@@ -172,17 +164,6 @@ func (c *Checkpoint) Validate() error {
 		if c.Residents[p.A].RID >= c.Residents[p.B].RID {
 			return fmt.Errorf("snapshot: pair %d not RID-normalized (%s vs %s)",
 				i, c.Residents[p.A].RID, c.Residents[p.B].RID)
-		}
-	}
-	if len(c.SlotTable) > 0 {
-		if c.Shards < 1 {
-			return fmt.Errorf("snapshot: slot table with %d entries but shard count %d",
-				len(c.SlotTable), c.Shards)
-		}
-		for s, sh := range c.SlotTable {
-			if sh < 0 || sh >= c.Shards {
-				return fmt.Errorf("snapshot: slot %d assigned to shard %d of %d", s, sh, c.Shards)
-			}
 		}
 	}
 	return nil
@@ -282,10 +263,7 @@ func Encode(w io.Writer, c *Checkpoint) error {
 		p.uvarint(uint64(pr.B))
 		p.float(pr.Prob)
 	}
-	p.uvarint(uint64(len(c.SlotTable)))
-	for _, sh := range c.SlotTable {
-		p.uvarint(uint64(sh))
-	}
+	p.uvarint(0) // empty slot table
 
 	return writeEnvelope(w, Version, p.buf.Bytes())
 }
@@ -377,6 +355,15 @@ func (r *reader) str() string {
 	return string(b)
 }
 
+// skipSlots reads and discards a slot-table section: a count followed
+// by that many uvarint shard indexes.
+func (r *reader) skipSlots() {
+	n := r.count()
+	for i := 0; i < n && r.err == nil; i++ {
+		r.uvarint()
+	}
+}
+
 func (r *reader) float() float64 {
 	if r.err != nil {
 		return 0
@@ -405,8 +392,8 @@ func readEnvelope(src io.Reader) (uint16, []byte, error) {
 		return 0, nil, fmt.Errorf("snapshot: reading header: %w", err)
 	}
 	ver := binary.LittleEndian.Uint16(fixed[0:2])
-	if ver < 1 || ver > DeltaVersion {
-		return 0, nil, fmt.Errorf("snapshot: format version %d, this build reads 1..%d", ver, DeltaVersion)
+	if ver < Version || ver > DeltaVersion {
+		return 0, nil, fmt.Errorf("snapshot: format version %d, this build reads %d..%d", ver, Version, DeltaVersion)
 	}
 	size := binary.LittleEndian.Uint64(fixed[2:10])
 	if size > maxSection {
@@ -437,11 +424,11 @@ func Decode(src io.Reader) (*Checkpoint, error) {
 	if ver == DeltaVersion {
 		return nil, fmt.Errorf("snapshot: version-%d file is a delta checkpoint, not a standalone snapshot", ver)
 	}
-	return decodeCheckpointPayload(ver, payload)
+	return decodeCheckpointPayload(payload)
 }
 
-// decodeCheckpointPayload parses a full-checkpoint payload (versions 1..2).
-func decodeCheckpointPayload(ver uint16, payload []byte) (*Checkpoint, error) {
+// decodeCheckpointPayload parses a full-checkpoint payload.
+func decodeCheckpointPayload(payload []byte) (*Checkpoint, error) {
 	r := &reader{b: bytes.NewReader(payload)}
 	c := &Checkpoint{
 		Seq:        r.varint(),
@@ -511,14 +498,7 @@ func decodeCheckpointPayload(ver uint16, payload []byte) (*Checkpoint, error) {
 			c.Pairs = append(c.Pairs, PairRef{A: int(r.uvarint()), B: int(r.uvarint()), Prob: r.float()})
 		}
 	}
-	if ver >= 2 {
-		if n := r.count(); r.err == nil && n > 0 {
-			c.SlotTable = make([]int, 0, prealloc(n))
-			for i := 0; i < n && r.err == nil; i++ {
-				c.SlotTable = append(c.SlotTable, int(r.uvarint()))
-			}
-		}
-	}
+	r.skipSlots()
 	if r.err != nil {
 		return nil, r.err
 	}
