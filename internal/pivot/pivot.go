@@ -134,7 +134,12 @@ func jointEntropy(dists [][]float64, buckets int) float64 {
 		return 0
 	}
 	n := len(dists[0])
-	counts := make(map[string]int, n)
+	// slot maps a bucket tuple to its index in counts, which keeps the
+	// buckets in first-seen order: summing over a map would vary the
+	// floating-point rounding of h from run to run, and with it which of
+	// two equally good candidates wins.
+	slot := make(map[string]int, n)
+	var counts []int
 	key := make([]byte, len(dists))
 	for i := 0; i < n; i++ {
 		for p := range dists {
@@ -147,7 +152,13 @@ func jointEntropy(dists [][]float64, buckets int) float64 {
 			}
 			key[p] = byte(b)
 		}
-		counts[string(key)]++
+		i, ok := slot[string(key)]
+		if !ok {
+			i = len(counts)
+			slot[string(key)] = i
+			counts = append(counts, 0)
+		}
+		counts[i]++
 	}
 	h := 0.0
 	for _, c := range counts {
