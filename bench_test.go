@@ -10,9 +10,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
-
 	"time"
 
 	"terids/internal/core"
@@ -217,12 +217,62 @@ func loadEngineFixture(b *testing.B) engineFixture {
 	return engineFix
 }
 
+// calibrateSink keeps BenchmarkCalibrate's result observable.
+var calibrateSink int
+
+// reportCPU publishes cpu_ns/op: CPU time per iteration since start. On a
+// shared host it is far steadier than wall-clock ns/op, because time the
+// process spends descheduled does not count.
+func reportCPU(b *testing.B, start time.Duration) {
+	b.ReportMetric(float64(cpuTime(b)-start)/float64(b.N), "cpu_ns/op")
+}
+
+// BenchmarkCalibrate is the benchmark gate's machine-speed reference
+// (cmd/benchgate -ref): a fixed pure-Go kernel that fills two slices from a
+// xorshift generator, sorts them and merge-scans their intersection. It
+// calls no terids code, so no change under test can move it, and its
+// sort-and-compare shape tracks the CPU and cache speed the gated
+// benchmarks depend on.
+func BenchmarkCalibrate(b *testing.B) {
+	const n = 1 << 17
+	xs, ys := make([]uint32, n), make([]uint32, n)
+	start := cpuTime(b)
+	for i := 0; i < b.N; i++ {
+		x := uint32(2463534242)
+		for _, s := range [][]uint32{xs, ys} {
+			for j := range s {
+				x ^= x << 13
+				x ^= x >> 17
+				x ^= x << 5
+				s[j] = x % (4 * n)
+			}
+			slices.Sort(s)
+		}
+		common := 0
+		for j, k := 0, 0; j < n && k < n; {
+			switch {
+			case xs[j] == ys[k]:
+				common++
+				j++
+				k++
+			case xs[j] < ys[k]:
+				j++
+			default:
+				k++
+			}
+		}
+		calibrateSink = common
+	}
+	reportCPU(b, start)
+}
+
 // BenchmarkProcessorBaseline is the single-threaded tuples/sec reference
 // the engine benchmarks are compared against.
 func BenchmarkProcessorBaseline(b *testing.B) {
 	f := loadEngineFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
+	start := cpuTime(b)
 	for i := 0; i < b.N; i++ {
 		proc, err := core.NewProcessor(f.sh, f.cfg)
 		if err != nil {
@@ -235,6 +285,7 @@ func BenchmarkProcessorBaseline(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	reportCPU(b, start)
 	b.ReportMetric(float64(b.N*len(f.stream))/b.Elapsed().Seconds(), "tuples/s")
 }
 

@@ -98,6 +98,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		"terids_route_seconds_count ",
 		"terids_merge_hold_seconds_count ",
 		"terids_merge_pending ",
+		"terids_token_dictionary_size ",
 		`terids_shard_resolve_seconds_count{shard="0"}`,
 		`terids_shard_resolve_seconds_count{shard="1"}`,
 		`terids_impute_seconds_q{q="0.50"}`,

@@ -153,7 +153,7 @@ func TestApplicablePrunesConstants(t *testing.T) {
 		// Take i%7 tokens from the pivot plus one unique token.
 		v := fmt.Sprintf("unique%d", i)
 		for k := 0; k <= i%7; k++ {
-			v += " " + pivotToks[k]
+			v += " " + pivotToks.Texts()[k]
 		}
 		set.MustAdd(&rules.Rule{
 			Kind: rules.KindCDD, Dependent: 2,

@@ -169,7 +169,7 @@ func (b *Baseline) Advance(r *tuple.Record) ([]Pair, error) {
 		b.breakdown.Impute += sw.Lap()
 	}
 	sw.Start()
-	prof := prune.BuildProfile(im, b.sh.Sel, b.sh.Keywords)
+	prof := prune.BuildProfile(im, b.sh.Sel, b.sh.KeywordIDs)
 
 	var pairs []Pair
 	if b.g != nil {

@@ -28,8 +28,12 @@ type Shared struct {
 	DDRules *rules.Set
 	// EdRules is the editing-rule subset of the er+ER baseline.
 	EdRules *rules.Set
-	// Keywords is the query keyword set K as a token set (sorted).
-	Keywords tokens.Set
+	// Keywords is the query keyword set K, sorted and deduplicated. This
+	// order defines keyword bit i of every profile, index and grid cell,
+	// the checkpoint keyword check and topic placement.
+	Keywords []string
+	// KeywordIDs[i] is the token ID of Keywords[i].
+	KeywordIDs []tokens.ID
 	// DomIdx are per-attribute pivot-ordered domain indexes (accelerated
 	// candidate range queries).
 	DomIdx []*repository.Index
@@ -48,7 +52,7 @@ type Shared struct {
 type PrepareConfig struct {
 	Pivot  pivot.Config
 	Detect rules.DetectConfig
-	// Keywords is K; copied into Shared as a token set.
+	// Keywords is K; copied into Shared sorted and deduplicated.
 	Keywords []string
 	// Selection, when non-nil, overrides cost-model pivot selection (used
 	// by the pivot ablation study).
@@ -74,7 +78,10 @@ func Prepare(repo *repository.Repository, cfg PrepareConfig) (*Shared, error) {
 	sh := &Shared{
 		Schema:   repo.Schema(),
 		Repo:     repo,
-		Keywords: tokens.New(cfg.Keywords...),
+		Keywords: tokens.New(cfg.Keywords...).Texts(),
+	}
+	for _, kw := range sh.Keywords {
+		sh.KeywordIDs = append(sh.KeywordIDs, tokens.Intern(kw))
 	}
 
 	start := time.Now()
@@ -115,7 +122,7 @@ func Prepare(repo *repository.Repository, cfg PrepareConfig) (*Shared, error) {
 		}
 		sh.CDDIdx[j] = ix
 	}
-	dr, err := drindex.Build(repo, sel, sh.Keywords)
+	dr, err := drindex.Build(repo, sel, sh.KeywordIDs)
 	if err != nil {
 		return nil, fmt.Errorf("core: DR-index: %w", err)
 	}

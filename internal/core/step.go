@@ -84,7 +84,7 @@ func (s *Step) Impute(r *tuple.Record) (*tuple.Imputed, metrics.Breakdown) {
 // Profile computes the pruning profile of an imputed tuple under the shared
 // pivot selection and query keywords.
 func (s *Step) Profile(im *tuple.Imputed) *prune.Profile {
-	return prune.BuildProfile(im, s.sh.Sel, s.sh.Keywords)
+	return prune.BuildProfile(im, s.sh.Sel, s.sh.KeywordIDs)
 }
 
 // Resolve runs the pruning cascade of Section 4 for query profile q over one

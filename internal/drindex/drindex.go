@@ -24,7 +24,7 @@ import (
 type Index struct {
 	repo     *repository.Repository
 	sel      *pivot.Selection
-	keywords tokens.Set
+	keywords []tokens.ID
 	nPiv     int
 	tree     *artree.Tree
 }
@@ -32,7 +32,7 @@ type Index struct {
 // Build converts every repository sample to its d-dimensional point and
 // bulk-inserts into the aR-tree. keywords drive the keyword-vector
 // aggregates (bit i = keywords[i]).
-func Build(repo *repository.Repository, sel *pivot.Selection, keywords tokens.Set) (*Index, error) {
+func Build(repo *repository.Repository, sel *pivot.Selection, keywords []tokens.ID) (*Index, error) {
 	d := repo.Schema().D()
 	if len(sel.PerAttr) != d {
 		return nil, fmt.Errorf("drindex: selection has %d attributes, schema %d", len(sel.PerAttr), d)
@@ -69,8 +69,8 @@ func (ix *Index) insert(s *tuple.Record) {
 			sum.Dist[x][a].Extend(tokens.JaccardDistance(s.Tokens(x), ix.sel.PerAttr[x].Toks[a]))
 		}
 	}
-	for i, kw := range ix.keywords {
-		if s.ContainsAnyKeyword(tokens.New(kw)) {
+	for i := range ix.keywords {
+		if s.ContainsAnyKeyword(ix.keywords[i : i+1]) {
 			sum.KW.Set(i)
 		}
 	}
@@ -193,6 +193,8 @@ func (g *ruleGeometry) itemInWindow(rect artree.Rect) bool {
 // index join's advantage over the per-rule repository scans of the
 // baselines (Section 5.3). visit receives the rule's index in the input
 // slice; returning false stops everything.
+//
+//terids:hotpath
 func (ix *Index) MatchingSamplesMulti(r *tuple.Record, rs []*rules.Rule, visit func(ruleIdx int, s *tuple.Record) bool) QueryStats {
 	var stats QueryStats
 	if len(rs) == 0 {

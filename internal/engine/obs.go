@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"terids/internal/obs"
+	"terids/internal/tokens"
 )
 
 // traceRingCap bounds the sampled-trace ring: enough to inspect recent
@@ -70,6 +71,9 @@ type engineMetrics struct {
 }
 
 func newEngineMetrics(reg *obs.Registry) *engineMetrics {
+	reg.GaugeFunc("terids_token_dictionary_size",
+		"Distinct tokens in the process-wide token dictionary; only a token never seen before grows it.", nil,
+		func() float64 { return float64(tokens.DictionarySize()) })
 	return &engineMetrics{
 		reg: reg,
 		arrivals: reg.Counter("terids_arrivals_total",

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"terids/internal/prune"
+	"terids/internal/tokens"
 	"terids/internal/tuple"
 )
 
@@ -42,11 +43,11 @@ func fnv32a(s string) uint32 {
 // keywordMass sums, over attributes, the candidate probability mass of
 // candidates containing kw — an upper-bound style weight of how much of the
 // tuple's possible-worlds mass carries this topic.
-func keywordMass(im *tuple.Imputed, kw string) float64 {
+func keywordMass(im *tuple.Imputed, kw tokens.ID) float64 {
 	m := 0.0
 	for _, d := range im.Dists {
 		for _, c := range d.Cands {
-			if c.Toks.Contains(kw) {
+			if c.Toks.Has(kw) {
 				m += c.P
 			}
 		}
@@ -80,7 +81,7 @@ func (e *Engine) internPlacement() {
 //
 //terids:hotpath
 func (e *Engine) homeShards(prof *prune.Profile) []int {
-	kws := e.step.Shared().Keywords
+	kws := e.step.Shared().KeywordIDs
 	var best, second float64
 	bestKW, secondKW := -1, -1
 	for i := range kws {

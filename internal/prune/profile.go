@@ -45,9 +45,9 @@ type Profile struct {
 }
 
 // BuildProfile computes the profile of an imputed tuple under the given
-// pivot selection and query keywords. keywords must be sorted (a
-// tokens.Set); bit i of KW corresponds to keywords[i].
-func BuildProfile(im *tuple.Imputed, sel *pivot.Selection, keywords tokens.Set) *Profile {
+// pivot selection and query keyword IDs; bit i of KW corresponds to
+// keywords[i].
+func BuildProfile(im *tuple.Imputed, sel *pivot.Selection, keywords []tokens.ID) *Profile {
 	d := len(im.Dists)
 	p := &Profile{
 		Im: im,
@@ -74,7 +74,7 @@ func BuildProfile(im *tuple.Imputed, sel *pivot.Selection, keywords tokens.Set) 
 				p.Exp[x][a] += dist * c.P
 			}
 			for i, kw := range keywords {
-				if c.Toks.Contains(kw) {
+				if c.Toks.Has(kw) {
 					p.KW.Set(i)
 				}
 			}

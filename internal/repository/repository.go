@@ -192,6 +192,8 @@ func (idx *Index) PivotDistance(i int) float64 {
 // lies in [min, max]. The pivot prefilter shrinks the verified candidate
 // window: by the triangle inequality every answer v satisfies
 // |dist(v,pivot) − dist(from,pivot)| <= max.
+//
+//terids:hotpath
 func (idx *Index) Range(from tokens.Set, min, max float64) []int {
 	if len(idx.order) == 0 {
 		return nil

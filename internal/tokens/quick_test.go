@@ -103,9 +103,9 @@ func TestQuickUnionIntersectConsistency(t *testing.T) {
 		if u.Len()+x.Len() != a.Len()+b.Len() {
 			t.Fatalf("|A∪B|+|A∩B| != |A|+|B| for %v, %v", a, b)
 		}
-		for _, tok := range x {
-			if !a.Contains(tok) || !b.Contains(tok) {
-				t.Fatalf("intersect token %q missing from input", tok)
+		for _, id := range x {
+			if !a.Has(id) || !b.Has(id) {
+				t.Fatalf("intersect token %q missing from input", Text(id))
 			}
 		}
 	}

@@ -1,18 +1,21 @@
 // Package tokens implements token sets over textual attribute values and
 // the Jaccard similarity/distance used throughout TER-iDS (Definition 5 of
-// the paper). Token sets are stored sorted and deduplicated so that set
-// operations run in linear time via merge scans.
+// the paper). Tokens are interned in a process-wide dictionary (see ID) and
+// a set is a sorted, deduplicated slice of IDs, so set operations are
+// linear merge scans over integers.
 package tokens
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"unicode"
 )
 
-// Set is a sorted, duplicate-free collection of tokens. The zero value is an
-// empty set ready to use.
-type Set []string
+// Set is a collection of tokens, stored as IDs in ascending ID order without
+// duplicates. ID order is not the lexicographic order of the texts; String
+// and Texts restore that for display. The zero value is an empty set ready
+// to use.
+type Set []ID
 
 // Tokenize splits a textual attribute value into a token set. Tokens are
 // lower-cased maximal runs of letters and digits; everything else is a
@@ -24,43 +27,54 @@ func Tokenize(s string) Set {
 	return New(fields...)
 }
 
-// New builds a Set from raw tokens, sorting and deduplicating them.
-// Empty tokens are dropped.
+// New builds a Set from raw tokens, interning, sorting and deduplicating
+// them. Empty tokens are dropped.
 func New(toks ...string) Set {
 	if len(toks) == 0 {
 		return nil
 	}
-	cp := make([]string, 0, len(toks))
-	for _, t := range toks {
-		if t != "" {
-			cp = append(cp, t)
-		}
-	}
-	sort.Strings(cp)
-	out := cp[:0]
-	for i, t := range cp {
-		if i == 0 || t != cp[i-1] {
-			out = append(out, t)
-		}
-	}
-	if len(out) == 0 {
+	ids := internAll(toks, make([]ID, 0, len(toks)))
+	if len(ids) == 0 {
 		return nil
 	}
-	return Set(out)
+	slices.Sort(ids)
+	return Set(slices.Compact(ids))
 }
 
 // Len reports the number of tokens in the set.
 func (s Set) Len() int { return len(s) }
 
-// Contains reports whether tok is a member of the set.
+// Has reports whether the token with ID id is a member of the set.
+func (s Set) Has(id ID) bool {
+	_, ok := slices.BinarySearch(s, id)
+	return ok
+}
+
+// Contains reports whether tok is a member of the set. A token that was
+// never interned belongs to no set.
 func (s Set) Contains(tok string) bool {
-	i := sort.SearchStrings(s, tok)
-	return i < len(s) && s[i] == tok
+	id, ok := Lookup(tok)
+	return ok && s.Has(id)
+}
+
+// HasAny reports whether any of ids is a member of s. The IDs may come in
+// any order, such as query keywords kept in keyword order.
+//
+//terids:hotpath
+func (s Set) HasAny(ids []ID) bool {
+	for _, id := range ids {
+		if s.Has(id) {
+			return true
+		}
+	}
+	return false
 }
 
 // ContainsAny reports whether any token of other appears in s. It is the
 // Boolean topic function ϖ(r, K) of the problem statement when other holds
 // the query keywords.
+//
+//terids:hotpath
 func (s Set) ContainsAny(other Set) bool {
 	i, j := 0, 0
 	for i < len(s) && j < len(other) {
@@ -77,6 +91,8 @@ func (s Set) ContainsAny(other Set) bool {
 }
 
 // IntersectSize returns |s ∩ other|.
+//
+//terids:hotpath
 func (s Set) IntersectSize(other Set) int {
 	i, j, n := 0, 0, 0
 	for i < len(s) && j < len(other) {
@@ -100,6 +116,8 @@ func (s Set) UnionSize(other Set) int {
 }
 
 // Union returns a new set holding s ∪ other.
+//
+//terids:hotpath
 func (s Set) Union(other Set) Set {
 	out := make(Set, 0, len(s)+len(other))
 	i, j := 0, 0
@@ -123,6 +141,8 @@ func (s Set) Union(other Set) Set {
 }
 
 // Intersect returns a new set holding s ∩ other.
+//
+//terids:hotpath
 func (s Set) Intersect(other Set) Set {
 	var out Set
 	i, j := 0, 0
@@ -142,6 +162,8 @@ func (s Set) Intersect(other Set) Set {
 }
 
 // Equal reports whether the two sets hold exactly the same tokens.
+//
+//terids:hotpath
 func (s Set) Equal(other Set) bool {
 	if len(s) != len(other) {
 		return false
@@ -154,8 +176,19 @@ func (s Set) Equal(other Set) bool {
 	return true
 }
 
-// String renders the set as a space-joined token list.
-func (s Set) String() string { return strings.Join(s, " ") }
+// Texts returns the set's tokens as text, sorted lexicographically.
+func (s Set) Texts() []string {
+	out := make([]string, len(s))
+	for i, id := range s {
+		out[i] = Text(id)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// String renders the set as a space-joined, lexicographically sorted token
+// list.
+func (s Set) String() string { return strings.Join(s.Texts(), " ") }
 
 // Clone returns an independent copy of the set.
 func (s Set) Clone() Set {

@@ -1,38 +1,43 @@
 package tokens
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 )
 
 func TestTokenize(t *testing.T) {
 	cases := []struct {
 		in   string
-		want Set
+		want []string
 	}{
 		{"", nil},
 		{"   ", nil},
 		{"---", nil},
-		{"Hello", Set{"hello"}},
-		{"loss of weight", Set{"loss", "of", "weight"}},
-		{"Loss, of; WEIGHT!", Set{"loss", "of", "weight"}},
-		{"drug therapy, drug therapy", Set{"drug", "therapy"}},
-		{"a1 b2-c3", Set{"a1", "b2", "c3"}},
-		{"Ünïcode Tökens", Set{"tökens", "ünïcode"}},
+		{"Hello", []string{"hello"}},
+		{"loss of weight", []string{"loss", "of", "weight"}},
+		{"Loss, of; WEIGHT!", []string{"loss", "of", "weight"}},
+		{"drug therapy, drug therapy", []string{"drug", "therapy"}},
+		{"a1 b2-c3", []string{"a1", "b2", "c3"}},
+		{"Ünïcode Tökens", []string{"tökens", "ünïcode"}},
 	}
 	for _, c := range cases {
 		got := Tokenize(c.in)
-		if !reflect.DeepEqual(got, c.want) {
+		if !slices.Equal(got.Texts(), c.want) || !got.Equal(New(c.want...)) {
 			t.Errorf("Tokenize(%q) = %v, want %v", c.in, got, c.want)
+		}
+		if c.want == nil && got != nil {
+			t.Errorf("Tokenize(%q) = %#v, want nil", c.in, got)
 		}
 	}
 }
 
 func TestNewDedupesAndSorts(t *testing.T) {
 	got := New("b", "a", "b", "", "c", "a")
-	want := Set{"a", "b", "c"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("New = %v, want %v", got, want)
+	if want := []string{"a", "b", "c"}; !slices.Equal(got.Texts(), want) {
+		t.Fatalf("New = %v, want %v", got.Texts(), want)
+	}
+	if got.Len() != 3 || !slices.IsSorted(got) {
+		t.Fatalf("New = %v, want 3 IDs in ascending order", []ID(got))
 	}
 }
 
@@ -123,8 +128,8 @@ func TestEqual(t *testing.T) {
 func TestClone(t *testing.T) {
 	a := New("x", "y")
 	c := a.Clone()
-	c[0] = "z"
-	if a[0] != "x" {
+	c[0] = Intern("z")
+	if !a.Equal(New("x", "y")) {
 		t.Error("Clone must be independent")
 	}
 	var empty Set

@@ -122,8 +122,11 @@ type Instance struct {
 }
 
 // Sim returns the Definition 5 similarity between two instances.
+//
+//terids:hotpath
 func (a Instance) Sim(b Instance) float64 {
 	if len(a.Toks) != len(b.Toks) {
+		//lint:ignore hotalloc the message is built only on the way to a panic
 		panic(fmt.Sprintf("tuple: instance dimension mismatch %d vs %d", len(a.Toks), len(b.Toks)))
 	}
 	total := 0.0
@@ -135,8 +138,9 @@ func (a Instance) Sim(b Instance) float64 {
 
 // Instances enumerates all instances of the imputed tuple as the cross
 // product of per-attribute candidates, computing joint probabilities and
-// keyword flags against keywords. The enumeration order is deterministic.
-func (im *Imputed) Instances(keywords tokens.Set) []Instance {
+// keyword flags against the keyword IDs. The enumeration order is
+// deterministic.
+func (im *Imputed) Instances(keywords []tokens.ID) []Instance {
 	d := len(im.Dists)
 	out := make([]Instance, 0, im.InstanceCount())
 	toks := make([]tokens.Set, d)
@@ -158,7 +162,7 @@ func (im *Imputed) Instances(keywords tokens.Set) []Instance {
 		}
 		for _, c := range im.Dists[j].Cands {
 			toks[j] = c.Toks
-			kw[j] = c.Toks.ContainsAny(keywords)
+			kw[j] = c.Toks.HasAny(keywords)
 			rec(j+1, p*c.P)
 		}
 	}
@@ -169,10 +173,10 @@ func (im *Imputed) Instances(keywords tokens.Set) []Instance {
 // MayContainKeyword reports whether any instance of the imputed tuple
 // contains a query keyword (the condition of Theorem 4.1: if false for both
 // tuples of a pair, the pair is safely pruned).
-func (im *Imputed) MayContainKeyword(keywords tokens.Set) bool {
+func (im *Imputed) MayContainKeyword(keywords []tokens.ID) bool {
 	for _, d := range im.Dists {
 		for _, c := range d.Cands {
-			if c.Toks.ContainsAny(keywords) {
+			if c.Toks.HasAny(keywords) {
 				return true
 			}
 		}
@@ -182,14 +186,14 @@ func (im *Imputed) MayContainKeyword(keywords tokens.Set) bool {
 
 // MustContainKeyword reports whether every instance contains a keyword,
 // i.e. some attribute has all candidates keyword-bearing.
-func (im *Imputed) MustContainKeyword(keywords tokens.Set) bool {
+func (im *Imputed) MustContainKeyword(keywords []tokens.ID) bool {
 	for _, d := range im.Dists {
 		if len(d.Cands) == 0 {
 			continue
 		}
 		all := true
 		for _, c := range d.Cands {
-			if !c.Toks.ContainsAny(keywords) {
+			if !c.Toks.HasAny(keywords) {
 				all = false
 				break
 			}
