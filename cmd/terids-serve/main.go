@@ -159,7 +159,7 @@ func main() {
 		scale       = flag.Float64("scale", 1.0, "dataset scale factor")
 		seed        = flag.Int64("seed", 1, "generation seed")
 		shards      = flag.Int("shards", 0, "ER-grid shards (0 = GOMAXPROCS, max 8)")
-		queue       = flag.Int("queue", 256, "bounded queue depth per pipeline stage")
+		queue       = flag.Int("queue", 256, "depth of the ingest queue (chunks awaiting imputation; full means 429), the header queue and each shard's partial-result queue; the post-impute queues are fixed at 2 per impute worker and 2 per shard")
 		keywords    = flag.String("keywords", "", "comma-separated query keywords (default: the profile's topics)")
 		replayCap   = flag.Int("replay-buffer", 4096, "merged results retained for /results?from= replay")
 		replayDep   = flag.Int64("replay-depth", 0, "max arrivals one WAL-backed deep replay may re-run (0 = unlimited)")

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"terids/internal/metrics"
@@ -408,28 +409,81 @@ func TestAllBaselineKindsRun(t *testing.T) {
 	}
 }
 
+// TestDynamicRepositoryExtension extends a prepared repository and requires
+// imputation over the incrementally updated state — DR-index postings, the
+// rebuilt domain indexes and their candidate memos, the re-detected rules —
+// to equal imputation over a Shared prepared from scratch on the extended
+// repository with the same pivots. The queries run once before the
+// extension too, so a posting list or memo entry left over from the old
+// state would show up as a difference.
 func TestDynamicRepositoryExtension(t *testing.T) {
 	f := newFixture(t, 41, 30, 0, 0)
 	sh := f.shared
-	before := sh.DRIdx.Len()
-	extra := tuple.MustRecord(testSchema, "dyn1", 0, 0,
-		[]string{"male", "thirst weight loss vision", "diabetes mellitus", "insulin diet"})
 	cfg := DefaultPrepareConfig([]string{"diabetes", "flu"})
-	if err := sh.AddSamples(true, cfg.Detect, extra); err != nil {
+	step, err := NewStep(sh, testConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if sh.DRIdx.Len() != before+1 {
+	r := rand.New(rand.NewSource(3))
+	var queries []*tuple.Record
+	for i := 0; i < 24; i++ {
+		queries = append(queries, f.record(r, i%2, int64(i), diseases[i%len(diseases)], 1+i%2))
+	}
+	impute := func(st *Step) [][]tuple.AttrDist {
+		var out [][]tuple.AttrDist
+		for _, q := range queries {
+			im, _ := st.Impute(q)
+			out = append(out, im.Dists)
+		}
+		return out
+	}
+	before := impute(step)
+
+	n := sh.DRIdx.Len()
+	extra := []*tuple.Record{
+		tuple.MustRecord(testSchema, "dyn1", 0, 0,
+			[]string{"male", "thirst weight loss vision", "diabetes mellitus", "insulin diet"}),
+		tuple.MustRecord(testSchema, "dyn2", 0, 0,
+			[]string{"female", "thirst weight blurred vision", "diabetes mellitus type two", "insulin metformin diet"}),
+		tuple.MustRecord(testSchema, "dyn3", 0, 0,
+			[]string{"male", "fever cough fatigue", "seasonal flu", "rest fluids honey"}),
+	}
+	if err := sh.AddSamples(true, cfg.Detect, extra...); err != nil {
+		t.Fatal(err)
+	}
+	if sh.DRIdx.Len() != n+len(extra) {
 		t.Fatal("DR-index not extended")
 	}
-	if sh.Repo.Len() != 31 {
+	if sh.Repo.Len() != 30+len(extra) {
 		t.Fatal("repository not extended")
 	}
+	after := impute(step)
+	if reflect.DeepEqual(before, after) {
+		t.Fatal("extension changed no imputation; the fixture does not exercise it")
+	}
+
+	freshCfg := cfg
+	freshCfg.Selection = sh.Sel
+	fresh, err := Prepare(sh.Repo, freshCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshStep, err := NewStep(fresh, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := impute(freshStep)
+	for i := range queries {
+		if !reflect.DeepEqual(after[i], want[i]) {
+			t.Fatalf("query %s: imputed %v after AddSamples, %v from a fresh Prepare", queries[i].RID, after[i], want[i])
+		}
+	}
+
 	// The processor still works after the refresh.
 	ter, err := NewProcessor(sh, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rand.New(rand.NewSource(3))
 	ter.Advance(f.record(r, 0, 0, diseases[0], 1))
 	ter.Advance(f.record(r, 1, 1, diseases[0], 0))
 }

@@ -5,11 +5,16 @@
 // intervals. Given an incomplete tuple and a CDD rule, the index retrieves
 // the samples satisfying the rule's determinant constraints: the converted
 // coordinates give a triangle-inequality necessary condition, and real
-// Jaccard distances verify candidates at the leaves.
+// Jaccard distances verify candidates at the leaves. Those distances come
+// from per-attribute token postings: one walk over the query value's
+// postings counts its overlap with every sample, so verifying a sample is
+// arithmetic rather than a set merge.
 package drindex
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"terids/internal/agg"
 	"terids/internal/artree"
@@ -27,6 +32,21 @@ type Index struct {
 	keywords []tokens.ID
 	nPiv     int
 	tree     *artree.Tree
+
+	// post[x] maps a token ID to the ordinals of the indexed samples whose
+	// value on attribute x contains it. Ordinals are dense below nOrd; a
+	// removed sample's ordinal goes to free and the next Add reuses it.
+	post []map[tokens.ID][]int32
+	nOrd int32
+	free []int32
+	// scratch pools *overlapScratch across queries.
+	scratch sync.Pool
+}
+
+// entry is the aR-tree item payload: a sample and its postings ordinal.
+type entry struct {
+	s   *tuple.Record
+	ord int32
 }
 
 // Build converts every repository sample to its d-dimensional point and
@@ -44,6 +64,10 @@ func Build(repo *repository.Repository, sel *pivot.Selection, keywords []tokens.
 		keywords: keywords,
 		nPiv:     nPiv,
 		tree:     artree.New(d, agg.Merger{D: d, NPiv: nPiv, NKW: len(keywords)}),
+		post:     make([]map[tokens.ID][]int32, d),
+	}
+	for x := range ix.post {
+		ix.post[x] = make(map[tokens.ID][]int32)
 	}
 	for _, s := range repo.Samples() {
 		ix.insert(s)
@@ -74,7 +98,18 @@ func (ix *Index) insert(s *tuple.Record) {
 			sum.KW.Set(i)
 		}
 	}
-	ix.tree.Insert(artree.Item{Rect: artree.Point(coords...), Data: s, Agg: sum})
+	ord := ix.nOrd
+	if n := len(ix.free); n > 0 {
+		ord, ix.free = ix.free[n-1], ix.free[:n-1]
+	} else {
+		ix.nOrd++
+	}
+	for x := 0; x < d; x++ {
+		for _, t := range s.Tokens(x) {
+			ix.post[x][t] = append(ix.post[x][t], ord)
+		}
+	}
+	ix.tree.Insert(artree.Item{Rect: artree.Point(coords...), Data: &entry{s: s, ord: ord}, Agg: sum})
 }
 
 // Remove deletes a sample by RID, returning whether it was found.
@@ -84,9 +119,94 @@ func (ix *Index) Remove(s *tuple.Record) bool {
 	for x := 0; x < d; x++ {
 		coords[x] = ix.sel.Convert(x, s.Tokens(x))
 	}
-	return ix.tree.Delete(artree.Point(coords...), func(it artree.Item) bool {
-		return it.Data.(*tuple.Record).RID == s.RID
-	})
+	var gone *entry
+	if !ix.tree.Delete(artree.Point(coords...), func(it artree.Item) bool {
+		gone = it.Data.(*entry)
+		return gone.s.RID == s.RID
+	}) {
+		return false
+	}
+	for x := 0; x < d; x++ {
+		for _, t := range gone.s.Tokens(x) {
+			ords := ix.post[x][t]
+			i := slices.Index(ords, gone.ord)
+			ords[i] = ords[len(ords)-1]
+			if ords = ords[:len(ords)-1]; len(ords) == 0 {
+				delete(ix.post[x], t)
+			} else {
+				ix.post[x][t] = ords
+			}
+		}
+	}
+	ix.free = append(ix.free, gone.ord)
+	return true
+}
+
+// overlapScratch is one query's overlap counts: ov[x][ord] is
+// |r[A_x] ∩ s[A_x]| for the sample with ordinal ord, on the attributes
+// some determinant constrains (counted[x]). touched[x] lists the non-zero
+// slots of ov[x], so handing the scratch back costs what counting did.
+type overlapScratch struct {
+	ov      [][]int32
+	touched [][]int32
+	counted []bool
+	// Per-sample distance cache of the leaf verifier.
+	dists []float64
+	have  []bool
+}
+
+// countOverlaps fills a pooled scratch with r's overlap against every
+// sample on each attribute a determinant of rs constrains, by walking r's
+// token postings once per attribute.
+func (ix *Index) countOverlaps(r *tuple.Record, rs []*rules.Rule) *overlapScratch {
+	sc, _ := ix.scratch.Get().(*overlapScratch)
+	if sc == nil {
+		d := len(ix.post)
+		sc = &overlapScratch{
+			ov:      make([][]int32, d),
+			touched: make([][]int32, d),
+			counted: make([]bool, d),
+			dists:   make([]float64, d),
+			have:    make([]bool, d),
+		}
+	}
+	for _, rule := range rs {
+		for _, c := range rule.Determinants {
+			x := c.Attr
+			if sc.counted[x] {
+				continue
+			}
+			sc.counted[x] = true
+			if len(sc.ov[x]) < int(ix.nOrd) {
+				// The old slice is all zeros; only its length is stale.
+				sc.ov[x] = make([]int32, ix.nOrd)
+			}
+			ov, touched := sc.ov[x], sc.touched[x]
+			for _, t := range r.Tokens(x) {
+				for _, o := range ix.post[x][t] {
+					if ov[o] == 0 {
+						touched = append(touched, o)
+					}
+					ov[o]++
+				}
+			}
+			sc.touched[x] = touched
+		}
+	}
+	return sc
+}
+
+// releaseOverlaps zeroes the touched slots and returns sc to the pool; the
+// caller must not use sc afterwards.
+func (ix *Index) releaseOverlaps(sc *overlapScratch) {
+	for x, touched := range sc.touched {
+		for _, o := range touched {
+			sc.ov[x][o] = 0
+		}
+		sc.touched[x] = touched[:0]
+		sc.counted[x] = false
+	}
+	ix.scratch.Put(sc)
 }
 
 // QueryStats reports index work per MatchingSamples call.
@@ -185,14 +305,16 @@ func (g *ruleGeometry) itemInWindow(rect artree.Rect) bool {
 // MatchingSamplesMulti retrieves, in a single aR-tree traversal, the
 // samples matching each of several rules with respect to r. A node is
 // descended if ANY rule's window may hold samples below it; at the leaves,
-// the per-attribute Jaccard distances dist(r[A_x], s[A_x]) are computed
-// ONCE per sample and every rule is verified against the cached distances
-// (a constant constraint that survived AppliesTo(r) pins the value to
-// r's, i.e. distance exactly 0). Verification therefore costs one Jaccard
-// per attribute per sample — independent of the rule count — which is the
-// index join's advantage over the per-rule repository scans of the
-// baselines (Section 5.3). visit receives the rule's index in the input
-// slice; returning false stops everything.
+// the per-attribute Jaccard distances dist(r[A_x], s[A_x]) are derived
+// ONCE per sample from overlap counts and every rule is verified against
+// the cached distances (a constant constraint that survived AppliesTo(r)
+// pins the value to r's, i.e. distance exactly 0). The overlaps come from
+// one walk over r's token postings per constrained attribute before the
+// traversal, so a distance costs one division per attribute per sample,
+// whatever the rule count or the value lengths — the index join's
+// advantage over the per-rule repository scans of the baselines
+// (Section 5.3). visit receives the rule's index in the input slice;
+// returning false stops everything.
 //
 //terids:hotpath
 func (ix *Index) MatchingSamplesMulti(r *tuple.Record, rs []*rules.Rule, visit func(ruleIdx int, s *tuple.Record) bool) QueryStats {
@@ -204,9 +326,8 @@ func (ix *Index) MatchingSamplesMulti(r *tuple.Record, rs []*rules.Rule, visit f
 	for i, rule := range rs {
 		geoms[i] = ix.geometryOf(r, rule)
 	}
-	d := ix.repo.Schema().D()
-	dists := make([]float64, d)
-	have := make([]bool, d)
+	sc := ix.countOverlaps(r, rs)
+	dists, have := sc.dists, sc.have
 	ix.tree.Traverse(
 		func(rect artree.Rect, a any) bool {
 			stats.NodesVisited++
@@ -224,7 +345,7 @@ func (ix *Index) MatchingSamplesMulti(r *tuple.Record, rs []*rules.Rule, visit f
 			return false
 		},
 		func(it artree.Item) bool {
-			s := it.Data.(*tuple.Record)
+			e := it.Data.(*entry)
 			for x := range have {
 				have[x] = false
 			}
@@ -237,7 +358,8 @@ func (ix *Index) MatchingSamplesMulti(r *tuple.Record, rs []*rules.Rule, visit f
 				for _, c := range rs[i].Determinants {
 					x := c.Attr
 					if !have[x] {
-						dists[x] = tokens.JaccardDistance(r.Tokens(x), s.Tokens(x))
+						ov := int(sc.ov[x][e.ord])
+						dists[x] = 1 - tokens.JaccardFromOverlap(ov, r.Tokens(x).Len(), e.s.Tokens(x).Len())
 						have[x] = true
 					}
 					switch c.Kind {
@@ -258,7 +380,7 @@ func (ix *Index) MatchingSamplesMulti(r *tuple.Record, rs []*rules.Rule, visit f
 				}
 				if matched {
 					stats.Matched++
-					if !visit(i, s) {
+					if !visit(i, e.s) {
 						return false
 					}
 				}
@@ -266,6 +388,7 @@ func (ix *Index) MatchingSamplesMulti(r *tuple.Record, rs []*rules.Rule, visit f
 			return true
 		},
 	)
+	ix.releaseOverlaps(sc)
 	return stats
 }
 

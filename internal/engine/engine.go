@@ -71,7 +71,13 @@ type Config struct {
 	Shards int
 	// ImputeWorkers sizes the imputation pool. Default: Shards.
 	ImputeWorkers int
-	// QueueDepth bounds each pipeline channel. Default: 64.
+	// QueueDepth bounds the ingest queue (chunks awaiting imputation, whose
+	// free space decides TrySubmit admission), the router→merger header
+	// queue, and the shard→merger partials (QueueDepth per shard). The
+	// post-impute queues are fixed small buffers instead — 2×ImputeWorkers
+	// imputed chunks into the router and 2 commands into each shard — so a
+	// backlog waits upstream as raw records, not as imputed tuples and
+	// their profiles. Default: 64.
 	QueueDepth int
 	// OnResult, when set, is invoked by the merger for every processed
 	// arrival, in submission order. It must not call back into the engine's
@@ -382,12 +388,17 @@ func (e *Engine) resetState() error {
 		if err != nil {
 			return err
 		}
-		shardCh[i] = make(chan shardCmd, e.cfg.QueueDepth)
+		// Two commands: one queued behind the one the shard is resolving.
+		// More only parks imputed tuples and profiles in memory; a backlog
+		// belongs in the ingest queue (see Config.QueueDepth).
+		shardCh[i] = make(chan shardCmd, 2)
 		shards[i] = newShard(i, e, g)
 	}
 
 	e.imputeIn = make(chan []*item, e.cfg.QueueDepth)
-	e.imputedOut = make(chan []*item, e.cfg.QueueDepth)
+	// Two chunks per impute worker: enough to keep the router fed while the
+	// workers finish out of order, and no deeper, for the reason above.
+	e.imputedOut = make(chan []*item, 2*e.cfg.ImputeWorkers)
 	e.hdrCh = make(chan []header, e.cfg.QueueDepth)
 	e.partials = make(chan partial, e.cfg.QueueDepth*k)
 	e.shardScratch = make([][]shardItem, k)

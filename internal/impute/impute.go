@@ -46,12 +46,14 @@ func FailedCandidate() tuple.AttrDist {
 
 // Accumulator gathers candidate-value frequencies for one attribute across
 // rules and samples, then emits the normalized distribution of Equation 4.
-// It memoizes per-(sample value, dependent interval) candidate sets, and
-// optionally accelerates domain range queries with a pivot index.
+// Candidate sets per (sample value, dependent interval) come from the pivot
+// index's repository-lifetime memo when one is given, and from linear
+// domain scans memoized for this accumulator's lifetime otherwise.
 type Accumulator struct {
-	dom   *repository.Domain
-	idx   *repository.Index
-	freq  map[int]float64
+	dom  *repository.Domain
+	idx  *repository.Index
+	freq map[int]float64
+	// cache memoizes the linear scans; nil when idx is set.
 	cache map[candKey][]int
 }
 
@@ -64,29 +66,30 @@ type candKey struct {
 // domain scans) or a pivot index over dom (triangle-inequality accelerated
 // scans). Both produce identical results.
 func NewAccumulator(dom *repository.Domain, idx *repository.Index) *Accumulator {
-	return &Accumulator{
-		dom:   dom,
-		idx:   idx,
-		freq:  make(map[int]float64),
-		cache: make(map[candKey][]int),
+	a := &Accumulator{dom: dom, idx: idx, freq: make(map[int]float64)}
+	if idx == nil {
+		a.cache = make(map[candKey][]int)
 	}
+	return a
 }
 
 // AddSample registers one repository sample s matched by a rule with
 // dependent interval [depMin, depMax]: every domain value val with
 // dist(s[A_j], val) inside the interval gains one count (the cand(s[A_j])
 // set of Section 3).
+//
+//terids:hotpath
 func (a *Accumulator) AddSample(sampleValIdx int, depMin, depMax float64) {
-	key := candKey{sampleValIdx, depMin, depMax}
-	cands, ok := a.cache[key]
-	if !ok {
-		toks := a.dom.Value(sampleValIdx).Toks
-		if a.idx != nil {
-			cands = a.idx.Range(toks, depMin, depMax)
-		} else {
-			cands = a.dom.RangeByDistance(toks, depMin, depMax)
+	var cands []int
+	if a.idx != nil {
+		cands = a.idx.RangeOf(sampleValIdx, depMin, depMax)
+	} else {
+		key := candKey{sampleValIdx, depMin, depMax}
+		var ok bool
+		if cands, ok = a.cache[key]; !ok {
+			cands = a.dom.RangeByDistance(a.dom.Value(sampleValIdx).Toks, depMin, depMax)
+			a.cache[key] = cands
 		}
-		a.cache[key] = cands
 	}
 	for _, c := range cands {
 		a.freq[c]++

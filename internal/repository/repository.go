@@ -7,6 +7,7 @@ package repository
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"terids/internal/tokens"
 	"terids/internal/tuple"
@@ -149,11 +150,26 @@ func (d *Domain) RangeByDistance(from tokens.Set, min, max float64) []int {
 // Jaccard distance to a pivot attribute value. Range queries use the
 // triangle inequality to narrow the scan window before verifying real
 // distances, the same conversion trick the DR-index uses (Section 5.1).
+// It also memoizes RangeOf answers for its own lifetime, which is the
+// lifetime of the domain state it was built over: extending the repository
+// means rebuilding the index, and with it the memo.
 type Index struct {
 	dom   *Domain
 	pivot tokens.Set
 	order []int     // domain value indexes sorted by dist-to-pivot
 	dists []float64 // parallel to order
+	// memo[v] lists the RangeOf answers cached for domain value v, one
+	// node per (min, max) key, newest first. Nodes are immutable once
+	// published; a fill prepends one by compare-and-swap, so readers
+	// never lock.
+	memo []atomic.Pointer[rangeMemo]
+}
+
+// rangeMemo is one cached RangeOf answer.
+type rangeMemo struct {
+	min, max float64
+	cands    []int
+	next     *rangeMemo
 }
 
 // BuildIndex sorts the domain by distance to pivot.
@@ -163,6 +179,7 @@ func (d *Domain) BuildIndex(pivot tokens.Set) *Index {
 		pivot: pivot,
 		order: make([]int, len(d.values)),
 		dists: make([]float64, len(d.values)),
+		memo:  make([]atomic.Pointer[rangeMemo], len(d.values)),
 	}
 	for i := range d.values {
 		idx.order[i] = i
@@ -176,16 +193,6 @@ func (d *Domain) BuildIndex(pivot tokens.Set) *Index {
 		idx.dists[i] = pd[v]
 	}
 	return idx
-}
-
-// PivotDistance returns dist(value_i, pivot) for domain value i.
-func (idx *Index) PivotDistance(i int) float64 {
-	for pos, v := range idx.order {
-		if v == i {
-			return idx.dists[pos]
-		}
-	}
-	return -1
 }
 
 // Range returns the indexes of domain values whose Jaccard distance to from
@@ -210,4 +217,41 @@ func (idx *Index) Range(from tokens.Set, min, max float64) []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// RangeOf returns Range(dom.Value(v).Toks, min, max) for domain value v,
+// computing it once per (v, min, max) and answering repeats from the memo.
+// It is safe for concurrent use. The returned slice is shared with every
+// other caller of the same key: treat it as read-only. Values the domain
+// gained after BuildIndex are answered by Range without memoization.
+//
+//terids:hotpath
+func (idx *Index) RangeOf(v int, min, max float64) []int {
+	if v >= len(idx.memo) {
+		return idx.Range(idx.dom.values[v].Toks, min, max)
+	}
+	slot := &idx.memo[v]
+	head := slot.Load()
+	for m := head; m != nil; m = m.next {
+		if m.min == min && m.max == max {
+			return m.cands
+		}
+	}
+	m := &rangeMemo{min: min, max: max, cands: idx.Range(idx.dom.values[v].Toks, min, max)}
+	for {
+		m.next = head
+		if slot.CompareAndSwap(head, m) {
+			return m.cands
+		}
+		// Another fill published first. Nodes are only prepended, so the
+		// ones ahead of the old head are all that is new; if one holds
+		// this key, adopt it, which keeps one node per key.
+		fresh := slot.Load()
+		for n := fresh; n != head; n = n.next {
+			if n.min == min && n.max == max {
+				return n.cands
+			}
+		}
+		head = fresh
+	}
 }

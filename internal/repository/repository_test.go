@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"terids/internal/tokens"
@@ -151,22 +153,55 @@ func TestIndexEmptyDomain(t *testing.T) {
 	}
 }
 
-func TestIndexPivotDistance(t *testing.T) {
-	repo, err := Build(schema, []*tuple.Record{
-		sample("s1", "a b", "x"),
-		sample("s2", "c d", "x"),
-	})
+// TestRangeOfConcurrent fills and reads the RangeOf memo from 8 goroutines
+// at once, each over its own shuffle of the same keys, so most keys are
+// first asked concurrently. Every answer must equal the linear scan, and a
+// repeated key must come back as the memoized slice itself.
+func TestRangeOfConcurrent(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	var recs []*tuple.Record
+	for i := 0; i < 150; i++ {
+		recs = append(recs, sample(fmt.Sprintf("s%d", i), randomValue(r), "x"))
+	}
+	repo, err := Build(schema, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := repo.Domain(0)
-	idx := d.BuildIndex(tokens.New("a", "b"))
-	i := d.Lookup("a b")
-	if got := idx.PivotDistance(i); got != 0 {
-		t.Fatalf("PivotDistance(a b) = %v, want 0", got)
+	idx := d.BuildIndex(tokens.Tokenize(randomValue(r)))
+	type key struct {
+		v        int
+		min, max float64
 	}
-	j := d.Lookup("c d")
-	if got := idx.PivotDistance(j); got != 1 {
-		t.Fatalf("PivotDistance(c d) = %v, want 1", got)
+	intervals := [][2]float64{{0, 0}, {0, 0.3}, {0.2, 0.6}, {0.5, 1}, {0, 1}, {1, 1}}
+	var keys []key
+	for v := 0; v < d.Len(); v++ {
+		for _, iv := range intervals {
+			keys = append(keys, key{v, iv[0], iv[1]})
+		}
 	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		order := append([]key(nil), keys...)
+		rand.New(rand.NewSource(int64(g))).Shuffle(len(order), func(i, j int) {
+			order[i], order[j] = order[j], order[i]
+		})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, k := range order {
+				got := idx.RangeOf(k.v, k.min, k.max)
+				want := d.RangeByDistance(d.Value(k.v).Toks, k.min, k.max)
+				if !slices.Equal(got, want) {
+					t.Errorf("RangeOf(%d, %v, %v) = %v, want %v", k.v, k.min, k.max, got, want)
+					return
+				}
+				if again := idx.RangeOf(k.v, k.min, k.max); len(got) > 0 && &again[0] != &got[0] {
+					t.Errorf("RangeOf(%d, %v, %v) recomputed a memoized key", k.v, k.min, k.max)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

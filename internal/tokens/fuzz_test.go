@@ -99,6 +99,9 @@ func FuzzSetOps(f *testing.F) {
 		if got, want := JaccardDistance(a, b), 1-ra.jaccard(rb); got != want {
 			t.Fatalf("JaccardDistance = %v, want %v", got, want)
 		}
+		if got, want := JaccardFromOverlap(len(ra.intersect(rb)), len(ra), len(rb)), ra.jaccard(rb); got != want {
+			t.Fatalf("JaccardFromOverlap = %v, want %v", got, want)
+		}
 		if got, want := a.ContainsAny(b), len(ra.intersect(rb)) > 0; got != want {
 			t.Fatalf("ContainsAny = %v, want %v", got, want)
 		}

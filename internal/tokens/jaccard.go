@@ -14,6 +14,19 @@ func Jaccard(s, t Set) float64 {
 	return float64(inter) / float64(union)
 }
 
+// JaccardFromOverlap returns the Jaccard similarity of two sets of sizes n
+// and m that share inter tokens. It evaluates the same expression as
+// Jaccard, so a caller that counts overlaps some other way (the DR-index's
+// token postings) gets bit-identical results; two empty sets yield 1.
+//
+//terids:hotpath
+func JaccardFromOverlap(inter, n, m int) float64 {
+	if n == 0 && m == 0 {
+		return 1
+	}
+	return float64(inter) / float64(n+m-inter)
+}
+
 // JaccardDistance returns 1 − Jaccard(s, t). It is a metric on token sets
 // (the Jaccard/Tanimoto distance), in particular it satisfies the triangle
 // inequality used by the pivot-based bounds of Section 4.
