@@ -140,6 +140,18 @@ func (s *Summary) Merge(o *Summary) {
 	}
 }
 
+// Reset empties s in place, keeping its storage: afterwards s is the
+// identity for Merge.
+func (s *Summary) Reset() {
+	s.KW.Reset()
+	for x := range s.Dist {
+		for a := range s.Dist[x] {
+			s.Dist[x][a] = EmptyInterval()
+		}
+		s.Size[x] = EmptyIntInterval()
+	}
+}
+
 // Clone returns an independent copy.
 func (s *Summary) Clone() *Summary {
 	out := &Summary{

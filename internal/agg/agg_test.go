@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -95,6 +96,17 @@ func TestSummaryClone(t *testing.T) {
 	c.Size[0].Extend(99)
 	if a.KW.Get(0) || a.Dist[0][0].Hi != 0.4 || a.Size[0].Hi != 2 {
 		t.Fatal("Clone must be independent")
+	}
+}
+
+func TestSummaryReset(t *testing.T) {
+	a := NewSummary(2, 2, 3)
+	a.KW.Set(2)
+	a.Dist[1][1].Extend(0.4)
+	a.Size[0].Extend(2)
+	a.Reset()
+	if !reflect.DeepEqual(a, NewSummary(2, 2, 3)) {
+		t.Fatalf("Reset left %+v, want an empty summary", a)
 	}
 }
 

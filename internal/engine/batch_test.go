@@ -218,22 +218,24 @@ func TestTrySubmitNotBlockedByStall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Park blocking submitters until the ingest queue is full and at least
-	// one Submit is stalled mid-injection. Submits reach the ingest queue
-	// out of sequence order, and the router buffers what it cannot release
-	// yet, so the wedged pipeline can absorb a good deal more than its
-	// queue capacities add up to; park well beyond that.
+	// One blocking submitter feeds arrivals in sequence order until the
+	// ingest queue is full and its Submit is stalled mid-injection. In
+	// order, the router never buffers an arrival it cannot release yet, so
+	// the wedged pipeline absorbs no more than its queue capacities add up
+	// to, far below `parked`. (Concurrent submitters reached the queue out
+	// of order; under CPU load the router's reorder buffer could then
+	// absorb all of them and the queue never filled.)
 	const parked = 48
 	var wg sync.WaitGroup
-	for i := 0; i < parked; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < parked; i++ {
 			if err := eng.Submit(f.stream[i]); err != nil {
 				t.Errorf("parked submit %d: %v", i, err)
 			}
-		}(i)
-	}
+		}
+	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for len(eng.imputeIn) < cap(eng.imputeIn) {
 		if time.Now().After(deadline) {

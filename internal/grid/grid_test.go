@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"terids/internal/pivot"
@@ -225,24 +226,83 @@ func TestCandidatesNeverMissesAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// TestRemoveRebuildsAggregates pins the topic axis and the lazy cell
+// aggregates: keyword-bearing and keyword-free entries never share a cell,
+// removing a resident shrinks its cell's aggregate as Candidates sees it,
+// and a stale aggregate that would keep a cell is rebuilt before that
+// decision is made.
 func TestRemoveRebuildsAggregates(t *testing.T) {
-	g := mustGrid(t, 2, 1) // single cell: aggregates must shrink on remove
+	g := mustGrid(t, 2, 1) // one cell per side of the topic axis
 	kw := tokens.New("k")
-	e1 := entry(t, "r1", 0, "k p q", "m n", kw) // keyword-bearing
-	e2 := entry(t, "r2", 1, "x y", "u v", kw)   // no keyword
-	g.Insert(e1)
-	g.Insert(e2)
-	// One cell holding both; its KW aggregate must be set.
-	for _, c := range g.cells {
-		if !c.summary.KW.Any() {
-			t.Fatal("cell aggregate must carry the keyword bit")
+	near := entry(t, "near", 1, "k p q", "m n", kw) // keyword-bearing, at the pivots
+	far := entry(t, "far", 1, "k zz", "ww", kw)     // keyword-bearing, far from them
+	plain := entry(t, "plain", 1, "x y", "u v", kw) // keyword-free
+	for _, e := range []*Entry{near, far, plain} {
+		if err := g.Insert(e); err != nil {
+			t.Fatal(err)
 		}
 	}
-	g.Remove("r1")
-	for _, c := range g.cells {
-		if c.summary.KW.Any() {
-			t.Fatal("keyword bit must disappear after the carrier is removed")
+	if g.CellCount() != 2 || near.cells[0] != far.cells[0] || near.cells[0] == plain.cells[0] {
+		t.Fatalf("keyword-bearing and keyword-free entries must occupy different cells (%d cells)", g.CellCount())
+	}
+	kwCell := near.cells[0]
+
+	// A keyword-free query never reaches the keyword-free resident.
+	q0 := entry(t, "q0", 0, "x y", "u v", kw)
+	got := map[string]bool{}
+	g.Candidates(q0.Prof, Query{Gamma: 0}, func(e *Entry) bool { got[e.Rec.RID] = true; return true })
+	if got["plain"] || !got["near"] || !got["far"] {
+		t.Fatalf("keyword-free query emitted %v, want near and far only", got)
+	}
+
+	// The query equals far: the cell spanning near and far cannot be
+	// pruned at gamma 1.2, the cell holding near alone can (ub_sim 1/3).
+	q := entry(t, "q", 0, "k zz", "ww", kw)
+	kwCellPruned := func() bool {
+		got := map[string]bool{}
+		st := g.Candidates(q.Prof, Query{Gamma: 1.2}, func(e *Entry) bool { got[e.Rec.RID] = true; return true })
+		if !got["plain"] {
+			t.Fatal("the keyword-free cell (ub_sim 1.5) must survive a keyword-bearing query")
 		}
+		return st.CellsPruned == 1 && !got["near"]
+	}
+	if kwCellPruned() {
+		t.Fatal("the cell holding near and far must survive the query")
+	}
+	if !g.Remove("far") {
+		t.Fatal("Remove failed")
+	}
+	if !kwCell.stale || kwCell.summary.Dist[0][0].Hi != 1 {
+		t.Fatal("Remove must mark the cell stale and leave its aggregate for Candidates to rebuild")
+	}
+	if !kwCellPruned() {
+		t.Fatal("after far left, its cell's aggregate must shrink and prune the query")
+	}
+	if kwCell.stale || !reflect.DeepEqual(kwCell.summary, near.sum) {
+		t.Fatalf("the stale aggregate must be rebuilt from the residents: got %+v, want %+v", kwCell.summary, near.sum)
+	}
+}
+
+// TestInsertRejectsResidentEntry pins the one-grid-per-entry rule the
+// Candidates dedup stamp relies on.
+func TestInsertRejectsResidentEntry(t *testing.T) {
+	g1, g2 := mustGrid(t, 2, 3), mustGrid(t, 2, 3)
+	e := entry(t, "r1", 1, "k p q", "m n", tokens.New("k"))
+	if err := g1.Insert(e); err != nil {
+		t.Fatal(err)
+	}
+	if err := g2.Insert(e); err == nil {
+		t.Fatal("inserting an entry resident in another grid must fail")
+	}
+	if g2.Len() != 0 || g2.CellCount() != 0 {
+		t.Fatal("a rejected insert must leave the grid untouched")
+	}
+	g1.Remove("r1")
+	if e.Ord() != 0 {
+		t.Fatalf("a removed entry keeps ordinal %d", e.Ord())
+	}
+	if err := g2.Insert(e); err != nil {
+		t.Fatalf("a removed entry must be insertable elsewhere: %v", err)
 	}
 }
 

@@ -115,6 +115,15 @@ func (s *Stopwatch) Lap() time.Duration {
 
 // PruneStats counts pairs eliminated by each pruning strategy of Section 4,
 // in application order, plus survivors (refined pairs). It backs Figure 4.
+//
+// What counts as considered depends on core.Config.TrackPruning. With it,
+// every live other-stream tuple forms one considered pair with the arrival,
+// and pairs the ER-grid prunes by cell are attributed to the theorem that
+// prunes them: the exact Figure 4 attribution. Without it (terids-serve,
+// perfbench), only pairs that survive the grid's cell-level tests are
+// considered. The grid keeps keyword-free tuples in keyword-free cells, so
+// Topic is then 0, and Considered and SimUB shrink as cell-level pruning
+// gets finer.
 type PruneStats struct {
 	// Considered is the number of candidate pairs examined.
 	Considered int64

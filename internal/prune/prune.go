@@ -6,6 +6,8 @@ import (
 
 // TopicPrune implements Theorem 4.1: a pair is safely pruned when no
 // possible instance of either tuple contains a query keyword.
+//
+//terids:hotpath
 func TopicPrune(a, b *Profile) bool {
 	return !a.MayKW && !b.MayKW
 }
@@ -13,6 +15,8 @@ func TopicPrune(a, b *Profile) bool {
 // attrSimUB returns the per-attribute similarity upper bound, the tighter
 // of Lemma 4.1 (token-set sizes) and Lemma 4.2 (pivot triangle inequality
 // over every shared pivot).
+//
+//terids:hotpath
 func attrSimUB(a, b Bounds, x int) float64 {
 	ub := 1.0
 	// Lemma 4.1 via size intervals.
@@ -47,6 +51,8 @@ func attrSimUB(a, b Bounds, x int) float64 {
 
 // SimUpperBound returns ub_sim(a, b) per Theorem 4.2: the sum over
 // attributes of per-attribute upper bounds.
+//
+//terids:hotpath
 func SimUpperBound(a, b Bounds) float64 {
 	total := 0.0
 	for x := range a.Dist {
@@ -63,6 +69,8 @@ func SimPrune(a, b Bounds, gamma float64) bool {
 // ProbUpperBound computes UB_Pr per Lemma 4.3 (Paley–Zygmund) over the main
 // pivot: X = dist(a, piv), Y = dist(b, piv) summed across attributes.
 // d is the dimensionality and gamma the similarity threshold.
+//
+//terids:hotpath
 func ProbUpperBound(a, b *Profile, gamma float64) float64 {
 	d := len(a.Dist)
 	var eX, eY, lbX, ubX, lbY, ubY float64
@@ -124,6 +132,8 @@ type RefineResult struct {
 // cannot exceed alpha, the pair is pruned without checking the rest.
 // Symmetrically, once the accumulated exact probability exceeds alpha the
 // pair is accepted early.
+//
+//terids:hotpath
 func Refine(a, b *Profile, gamma, alpha float64) RefineResult {
 	var res RefineResult
 	sum := 0.0       // exact probability over checked pairs
